@@ -105,31 +105,48 @@ def sample_normal(rng: RngStream, mean: float, variance: float) -> float:
     return float(rng.gen.normal(mean, math.sqrt(variance)))
 
 
-def sample_dirichlet(rng: RngStream, concentration) -> np.ndarray:
+def clamp_weights(w: np.ndarray) -> np.ndarray:
+    """Clamp an array of stick or weight draws into [1e-300, 1 - 1e-16], in
+    place. Same values as ``np.clip``, at about half its fixed cost on the
+    short vectors of a stick extension."""
+    np.maximum(w, WEIGHT_FLOOR, out=w)
+    return np.minimum(w, WEIGHT_CEIL, out=w)
+
+
+def sample_dirichlet(rng: RngStream, concentration, batch: int | None = None) -> np.ndarray:
     """Dirichlet draw via normalized Gamma variates.
 
-    Entries are clamped to [1e-300, 1 - 1e-16] and renormalized, so every
-    coordinate is strictly positive and the vector sums to 1 within 1e-12.
+    Entries are clamped to [1e-300, 1 - 1e-16], renormalized and clamped
+    once more, since renormalizing can push an entry back out of the window
+    (a lone weight that rounds to 1.0 does, often when alpha is small). So
+    every coordinate lies in the window and the vector sums to 1 within
+    1e-12. With ``batch=m`` the result has shape (m, K), one independent
+    draw per row; ``batch=1`` gives the same numbers as the unbatched call.
     """
     conc = np.asarray(concentration, dtype=float)
     if conc.ndim != 1 or conc.size < 2:
         raise ValueError("concentration must be a 1-D vector of length >= 2")
     if not np.all(np.isfinite(conc)) or np.any(conc <= 0.0):
         raise ValueError("concentration entries must be positive and finite")
-    g = rng.gen.standard_gamma(conc)
-    g = np.maximum(g, WEIGHT_FLOOR)
-    w = g / g.sum()
-    w = np.clip(w, WEIGHT_FLOOR, WEIGHT_CEIL)
-    return w / w.sum()
+    if batch is not None and batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    size = None if batch is None else (batch, conc.size)
+    g = rng.gen.standard_gamma(conc, size=size)
+    np.maximum(g, WEIGHT_FLOOR, out=g)
+    g /= g.sum(axis=-1, keepdims=True)
+    clamp_weights(g)
+    g /= g.sum(axis=-1, keepdims=True)
+    return clamp_weights(g)
 
 
 def sample_categorical_logweights(rng: RngStream, logweights) -> int:
     """Index draw from unnormalized log weights.
 
     Uses max-shifted exponential normalization; shifted weights below the
-    exp underflow point contribute exactly zero mass. Scalar implementation
-    on purpose: callers pass small per-observation candidate lists and the
-    cost stays proportional to their length.
+    exp underflow point contribute exactly zero mass, and a category with
+    zero mass is never returned. Scalar implementation on purpose: callers
+    pass small per-observation candidate lists and the cost stays
+    proportional to their length.
 
     Returns
     -------
@@ -154,6 +171,10 @@ def sample_categorical_logweights(rng: RngStream, logweights) -> int:
         raise NoValidCategoryError("all categorical weights underflowed")
     r = rng.gen.random() * total
     for k, c in enumerate(cum):
-        if c >= r:
+        if c > r:
             return k
-    return m - 1
+    # r rounded up to total: the last category that adds mass
+    for k in range(m - 1, 0, -1):
+        if cum[k] > cum[k - 1]:
+            return k
+    return 0

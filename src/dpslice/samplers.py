@@ -18,6 +18,11 @@ per-component arithmetic: the per-iteration cost is then proportional to the
 number of likelihood evaluations the algorithm actually performs, which is
 what the benchmark harness measures. Block draws (weights, atoms, slice
 variables) are vectorized.
+
+The weight and slice draws also take a leading replicate axis, and the stick
+extension takes vectors of residuals and slice minima, so the
+cost-verification harness in ``bounds`` runs many replicates through the
+same functions a sweep calls with one.
 """
 from __future__ import annotations
 
@@ -44,6 +49,7 @@ from .core import (
 )
 from .randkit import (
     RngStream,
+    clamp_weights,
     sample_beta,
     sample_categorical_logweights,
     sample_dirichlet,
@@ -65,18 +71,22 @@ class SamplerKind(str, Enum):
 # elementary conditional draws
 
 
-def sample_allocated_weights(rng: RngStream, sizes, alpha: float):
+def sample_allocated_weights(rng: RngStream, sizes, alpha: float,
+                             batch: int | None = None):
     """Weights of the occupied components plus leftover stick mass.
 
-    (w_1..w_H, leftover) is Dirichlet(n_1, ..., n_H, alpha).
+    (w_1..w_H, leftover) is Dirichlet(n_1, ..., n_H, alpha). A sweep draws
+    one replicate and gets (w, leftover) as (H-vector, float); ``batch=m``
+    draws m independent replicates and gets an (m, H) array and an m-vector.
     """
     s = np.asarray(sizes, dtype=float)
     if s.ndim != 1 or s.size == 0 or np.any(s < 1):
         raise ValueError("sizes must be positive cluster counts")
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    w = sample_dirichlet(rng, np.append(s, alpha))
-    return w[:-1], float(w[-1])
+    w = sample_dirichlet(rng, np.append(s, alpha), batch)
+    residual = w[..., -1]
+    return w[..., :-1], float(residual) if batch is None else residual
 
 
 def sample_atoms_conjugate(rng: RngStream, data, partition: Partition,
@@ -95,22 +105,29 @@ def sample_atoms_conjugate(rng: RngStream, data, partition: Partition,
     return rng.gen.normal(mean, np.sqrt(1.0 / prec))
 
 
-def sample_slices(rng: RngStream, partition: Partition, weights: WeightState):
-    """Per-observation slice variables u_i ~ Uniform(0, weight of own block)."""
-    wi = weights.allocated[partition.labels - 1]
+def sample_slices(rng: RngStream, partition: Partition, allocated):
+    """Per-observation slice variables u_i ~ Uniform(0, weight of own block).
+
+    ``allocated`` holds the occupied weights, an H-vector for one replicate
+    or an (m, H) array for m replicates; each observation's own-block weight
+    is gathered by its label. Returns the slices, of shape (n,) or (m, n),
+    and their minimum over observations: a float, or one per replicate.
+    """
+    wi = np.asarray(allocated, dtype=float).take(partition.labels - 1, axis=-1)
     if wi.size == 0 or np.any(wi <= 0.0):
         raise InconsistentStateError("slice interval requires positive weights")
-    u = wi * rng.gen.random(wi.size)
-    while True:
+    u = rng.gen.random(wi.shape)
+    u *= wi
+    umin = u.min(-1)
+    while (umin <= 0.0).any():
         zero = u <= 0.0
-        if not zero.any():
-            break
         u[zero] = wi[zero] * rng.gen.random(int(zero.sum()))
-    return u, float(u.min())
+        umin = u.min(-1)
+    return u, float(umin) if u.ndim == 1 else umin
 
 
-def extend_components(rng: RngStream, residual: float, umin: float,
-                      alpha: float, cfg: ModelConfig, with_atoms: bool = True):
+def extend_components(rng: RngStream, residual, umin, alpha: float,
+                      cfg: ModelConfig, with_atoms: bool = True):
     """Grow the instantiated component set until leftover mass drops under
     the minimum slice.
 
@@ -118,14 +135,29 @@ def extend_components(rng: RngStream, residual: float, umin: float,
     base measure can be skipped when the caller has no use for them (the
     loop is shared by inference and by the cost-verification harness).
 
-    Returns (tail_weights, tail_atoms, final_residual).
+    A sweep passes one replicate as floats and gets
+    (tail_weights, tail_atoms, final_residual) back. The verification
+    harness passes equal-length vectors of residuals and slice minima, one
+    entry per replicate, and gets (counts, tail_atoms, final_residuals):
+    the number of components each replicate instantiated, the atoms in draw
+    order (see :func:`_extend_masked`) and the leftover masses.
     """
+    if not alpha > 0.0:
+        raise ValueError("alpha must be positive")
+    if isinstance(residual, np.ndarray) and residual.ndim:
+        r = np.asarray(residual, dtype=float)
+        u = np.asarray(umin, dtype=float)
+        if r.ndim != 1 or r.shape != u.shape:
+            raise ValueError("residual and umin must be equal-length vectors")
+        if not np.all((r > 0.0) & (r <= 1.0)):
+            raise ValueError("every residual must be in (0, 1]")
+        if not np.all((u > 0.0) & (u < 1.0)):
+            raise ValueError("every umin must be in (0, 1)")
+        return _extend_masked(rng, r, u, alpha, cfg, with_atoms)
     if not 0.0 < residual <= 1.0:
         raise ValueError(f"residual must be in (0, 1], got {residual}")
     if not 0.0 < umin < 1.0:
         raise ValueError(f"umin must be in (0, 1), got {umin}")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
     tail_w: list[float] = []
     tail_atoms: list[float] = []
     steps = 0
@@ -140,6 +172,44 @@ def extend_components(rng: RngStream, residual: float, umin: float,
         residual -= w
         steps += 1
     return tail_w, tail_atoms, residual
+
+
+def _extend_masked(rng: RngStream, residual: np.ndarray, umin: np.ndarray,
+                   alpha: float, cfg: ModelConfig, with_atoms: bool):
+    """The stick extension for many replicates at once.
+
+    Each step draws one atom (optionally) and one clamped Beta(1, alpha)
+    stick for every replicate whose residual is still above its slice
+    minimum, then drops the replicates that are done. With one replicate it
+    consumes the stream exactly as the scalar loop does. The atoms come
+    back step-major: all first atoms of the extending replicates in
+    replicate order, then all second atoms, and so on.
+    """
+    gen = rng.gen
+    sd = math.sqrt(cfg.base_var)
+    final = residual.copy()
+    counts = np.zeros(residual.size, dtype=np.int64)
+    idx = np.flatnonzero(residual > umin)
+    r = residual[idx]
+    lo = umin[idx]
+    atoms: list[np.ndarray] = []
+    steps = 0
+    while idx.size:
+        if steps >= cfg.max_extension:
+            raise RunawayExtensionError(umin=float(lo.min()), cap=cfg.max_extension)
+        if with_atoms:
+            atoms.append(gen.normal(cfg.base_mean, sd, idx.size))
+        v = clamp_weights(gen.beta(1.0, alpha, idx.size))
+        r -= v * r
+        steps += 1
+        done = r <= lo
+        if done.any():
+            final[idx[done]] = r[done]
+            counts[idx[done]] = steps
+            keep = ~done
+            idx, r, lo = idx[keep], r[keep], lo[keep]
+    tail_atoms = np.concatenate(atoms) if atoms else np.empty(0)
+    return counts, tail_atoms, final
 
 
 def update_alpha_escobar_west(rng: RngStream, alpha: float, n: int,
@@ -302,8 +372,7 @@ def slice_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
     alpha = _next_alpha(rng, state, part, cfg)
     allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
     atoms_occ = sample_atoms_conjugate(rng, y, part, cfg)
-    weights = WeightState(allocated=allocated, tail=np.empty(0), residual=residual)
-    slices, umin = sample_slices(rng, part, weights)
+    slices, umin = sample_slices(rng, part, allocated)
     tail_w, tail_atoms, resid_end = extend_components(rng, residual, umin, alpha, cfg)
     all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
     all_atoms = np.concatenate([atoms_occ, np.asarray(tail_atoms, dtype=float)])
@@ -330,8 +399,7 @@ def slice_sweep_marginal_atoms(state: MixtureState, data, cfg: ModelConfig,
     part = relabel_compact(state.partition.labels)
     alpha = _next_alpha(rng, state, part, cfg)
     allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
-    weights = WeightState(allocated=allocated, tail=np.empty(0), residual=residual)
-    slices, umin = sample_slices(rng, part, weights)
+    slices, umin = sample_slices(rng, part, allocated)
     tail_w, _, resid_end = extend_components(rng, residual, umin, alpha, cfg,
                                              with_atoms=False)
     all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
@@ -570,8 +638,7 @@ def prior_generative_sweep(state: MixtureState, n: int, cfg: ModelConfig,
             residual -= w
         allocated = np.asarray(alloc_list, dtype=float)
         atoms_occ = np.asarray(atoms_list, dtype=float)
-    weights = WeightState(allocated=allocated, tail=np.empty(0), residual=residual)
-    slices, umin = sample_slices(rng, part, weights)
+    slices, umin = sample_slices(rng, part, allocated)
     tail_w, tail_atoms, resid_end = extend_components(rng, residual, umin,
                                                       alpha, cfg)
     all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])

@@ -243,6 +243,18 @@ class TestCheckExponentialTail:
         assert rep.tails[0] <= rep.limits[0] == 1.0
 
 
+def _reference_umin(gen, sizes, alpha, m):
+    """u_min given a fixed partition, built directly: Dirichlet weights as
+    normalized Gammas, each observation's slice uniform on (0, own-block
+    weight), and the row minimum."""
+    sizes = np.asarray(sizes)
+    g = gen.standard_gamma(np.append(sizes.astype(float), alpha), size=(m, sizes.size + 1))
+    np.maximum(g, 1e-300, out=g)
+    w = g / g.sum(axis=1, keepdims=True)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    return (w[:, owner] * gen.random((m, int(sizes.sum())))).min(axis=1)
+
+
 class TestSimulateUmin:
     def test_support_and_determinism(self):
         a = simulate_umin(RngStream(seed=90, stream=0), [2, 2, 2], 1.0, 5000)
@@ -251,16 +263,20 @@ class TestSimulateUmin:
         assert np.array_equal(a, b)
 
     def test_agrees_with_operation_composition(self):
-        # Same law two ways: the vectorized normalized-Gamma route and the
-        # sampler's own weight/slice conditional draws.
+        # Same law three ways, on independent streams: the merge check's u_min
+        # draws, the overhead simulation, and an independent normalized-Gamma
+        # construction that shares no code with either.
         m = 40_000
-        fast = simulate_umin(RngStream(seed=91, stream=0), [1] * 6, 1.0, m)
+        sizes = [1] * 6
+        ref = _reference_umin(RngStream(seed=91, stream=2).gen, sizes, 1.0, m)
+        fast = simulate_umin(RngStream(seed=91, stream=0), sizes, 1.0, m)
         ops = simulate_overhead(RngStream(seed=91, stream=1), 6, "singleton", 1.0, m).umin
-        for x in (0.003, 0.01, 0.03):
-            p1 = float(np.mean(fast <= x))
-            p2 = float(np.mean(ops <= x))
-            se = math.sqrt(p1 * (1 - p1) / m + p2 * (1 - p2) / m)
-            assert abs(p1 - p2) <= 3.0 * se + 1e-9
+        for draws in (fast, ops):
+            for x in (0.003, 0.01, 0.03):
+                p1 = float(np.mean(draws <= x))
+                p2 = float(np.mean(ref <= x))
+                se = math.sqrt(p1 * (1 - p1) / m + p2 * (1 - p2) / m)
+                assert abs(p1 - p2) <= 3.0 * se + 1e-9
 
     def test_bad_inputs_rejected(self):
         rng = RngStream(seed=1, stream=0)

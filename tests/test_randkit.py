@@ -11,6 +11,7 @@ from dpslice.randkit import (
     RngStream,
     WEIGHT_CEIL,
     WEIGHT_FLOOR,
+    clamp_weights,
     sample_beta,
     sample_categorical_logweights,
     sample_dirichlet,
@@ -24,6 +25,17 @@ M = 100_000
 
 def draws(fn, rng, m=M):
     return np.array([fn(rng) for _ in range(m)])
+
+
+class _FixedUniform:
+    """Stub stream whose generator returns one fixed uniform."""
+
+    def __init__(self, value: float):
+        self.gen = self
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
 
 
 class TestRngStream:
@@ -179,6 +191,37 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             sample_dirichlet(RngStream(seed=0), conc)
 
+    def test_renormalized_entries_stay_in_clamp_window(self):
+        # with a tiny alpha the occupied weight often rounds to 1.0 and the
+        # renormalization after the first clamp pushes it back out
+        w = sample_dirichlet(RngStream(seed=46), [1.0, 0.0625], batch=20_000)
+        assert np.all((w >= WEIGHT_FLOOR) & (w <= WEIGHT_CEIL))
+        assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.any(w[:, 0] == WEIGHT_CEIL)
+
+    def test_batch_rows_match_unbatched_draws(self):
+        conc = [0.3, 2.0, 11.0, 0.7]
+        batched = sample_dirichlet(RngStream(seed=44), conc, batch=5)
+        rng = RngStream(seed=44)
+        one_by_one = np.array([sample_dirichlet(rng, conc) for _ in range(5)])
+        assert batched.shape == (5, 4)
+        assert np.array_equal(batched, one_by_one)
+        assert np.array_equal(sample_dirichlet(RngStream(seed=45), conc, batch=1)[0],
+                              sample_dirichlet(RngStream(seed=45), conc))
+
+    def test_batch_must_be_positive(self):
+        with pytest.raises(ValueError):
+            sample_dirichlet(RngStream(seed=0), [1.0, 1.0], batch=0)
+
+
+class TestClampWeights:
+    def test_matches_clip_in_place(self):
+        w = np.array([0.0, 1e-320, 0.25, 1.0 - 1e-17, 1.0])
+        expected = np.clip(w, WEIGHT_FLOOR, WEIGHT_CEIL)
+        out = clamp_weights(w)
+        assert out is w
+        assert np.array_equal(w, expected)
+
 
 class TestCategorical:
     def test_degenerate_support(self):
@@ -223,6 +266,21 @@ class TestCategorical:
     def test_empty_raises(self):
         with pytest.raises(NoValidCategoryError):
             sample_categorical_logweights(RngStream(seed=0), [])
+
+    def test_zero_uniform_skips_zero_mass_first_category(self):
+        # r = 0 must not select a leading category whose mass underflowed
+        rng = _FixedUniform(0.0)
+        assert sample_categorical_logweights(rng, [-800.0, 0.0]) == 1
+        assert sample_categorical_logweights(rng, [-math.inf, -math.inf, 0.0]) == 2
+        assert sample_categorical_logweights(rng, [0.0, 0.0]) == 0
+
+    def test_rounded_up_uniform_returns_last_category_with_mass(self):
+        # r equal to the total mass falls through the scan; the fallback
+        # must skip trailing zero-mass categories
+        rng = _FixedUniform(1.0)
+        assert sample_categorical_logweights(rng, [0.0, -math.inf]) == 0
+        assert sample_categorical_logweights(rng, [0.0, 0.0, -800.0, -math.inf]) == 1
+        assert sample_categorical_logweights(rng, [0.0, 0.0]) == 1
 
     @given(logw=st.lists(st.floats(min_value=-50.0, max_value=50.0),
                          min_size=1, max_size=8),

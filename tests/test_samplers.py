@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
+from scipy.stats import chi2, poisson
 
 from dpslice.core import (
     InconsistentStateError,
@@ -23,6 +24,7 @@ from dpslice.randkit import RngStream
 from dpslice.samplers import (
     ChainResult,
     SamplerKind,
+    _extend_masked,
     _predictive_params,
     bgs_sweep,
     crp_sweep_atoms,
@@ -132,25 +134,22 @@ class TestSampleSlices:
     def test_support_below_own_weight(self):
         rng = RngStream(seed=120)
         part = relabel_compact([1, 1, 1, 1])
-        ws = WeightState(allocated=np.array([0.5]), tail=np.empty(0), residual=0.5)
         for _ in range(200):
-            u, umin = sample_slices(rng, part, ws)
+            u, umin = sample_slices(rng, part, np.array([0.5]))
             assert np.all((u > 0.0) & (u < 0.5))
             assert umin == u.min()
 
     def test_uniform_mean(self):
         rng = RngStream(seed=121)
         part = relabel_compact([1])
-        ws = WeightState(allocated=np.array([0.5]), tail=np.empty(0), residual=0.5)
-        u = np.array([sample_slices(rng, part, ws)[0][0] for _ in range(50_000)])
+        u = np.array([sample_slices(rng, part, np.array([0.5]))[0][0]
+                      for _ in range(50_000)])
         assert abs(u.mean() - 0.25) < 0.003
 
     def test_zero_weight_rejected(self):
         part = relabel_compact([1, 2])
-        ws = WeightState(allocated=np.array([0.5, 0.0]), tail=np.empty(0),
-                         residual=0.5)
         with pytest.raises(InconsistentStateError):
-            sample_slices(RngStream(seed=0), part, ws)
+            sample_slices(RngStream(seed=0), part, np.array([0.5, 0.0]))
 
 
 class TestExtendComponents:
@@ -197,6 +196,160 @@ class TestExtendComponents:
     def test_bad_input(self, residual, umin, alpha):
         with pytest.raises(ValueError):
             extend_components(RngStream(seed=0), residual, umin, alpha, CFG)
+
+
+
+def _labels_from_sizes(sizes):
+    return relabel_compact(np.repeat(np.arange(1, len(sizes) + 1), sizes))
+
+
+class TestReplicateAxis:
+    """The weight, slice and extension draws with many replicates at once:
+    the invariants hold row by row, and one replicate reproduces the scalar
+    path bit for bit."""
+
+    @given(sizes=st.lists(st.integers(min_value=1, max_value=30), min_size=1,
+                          max_size=8),
+           alpha=st.floats(min_value=0.05, max_value=20.0),
+           batch=st.integers(min_value=1, max_value=16),
+           seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_weight_rows_on_clamped_simplex(self, sizes, alpha, batch, seed):
+        alloc, residual = sample_allocated_weights(RngStream(seed=seed), sizes,
+                                                   alpha, batch=batch)
+        assert alloc.shape == (batch, len(sizes))
+        assert residual.shape == (batch,)
+        w = np.column_stack([alloc, residual])
+        assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all((w >= 1e-300) & (w <= 1.0 - 1e-16))
+
+    @given(sizes=st.lists(st.integers(min_value=1, max_value=30), min_size=1,
+                          max_size=8),
+           alpha=st.floats(min_value=0.05, max_value=20.0),
+           batch=st.integers(min_value=1, max_value=16),
+           seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_slices_inside_own_weight_and_umin_is_row_min(self, sizes, alpha,
+                                                           batch, seed):
+        rng = RngStream(seed=seed)
+        part = _labels_from_sizes(sizes)
+        alloc, _ = sample_allocated_weights(rng, part.sizes, alpha, batch=batch)
+        u, umin = sample_slices(rng, part, alloc)
+        own = alloc[:, part.labels - 1]
+        assert u.shape == (batch, part.n)
+        assert np.all((u > 0.0) & (u < own))
+        assert np.array_equal(umin, u.min(axis=1))
+
+    @given(residual=st.lists(st.floats(min_value=1e-6, max_value=1.0),
+                             min_size=1, max_size=20),
+           umin_level=st.floats(min_value=1e-9, max_value=0.99),
+           alpha=st.floats(min_value=0.05, max_value=20.0),
+           seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_extension_ends_at_or_below_umin(self, residual, umin_level, alpha,
+                                             seed):
+        r = np.asarray(residual)
+        u = np.full(r.size, umin_level)
+        counts, atoms, final = extend_components(RngStream(seed=seed), r, u,
+                                                 alpha, CFG, with_atoms=False)
+        assert np.all(final <= u)
+        assert np.all(final > 0.0)
+        assert np.all((counts == 0) == (r <= u))
+        assert atoms.size == 0
+
+    def test_one_replicate_matches_unbatched_draws(self):
+        part = _labels_from_sizes([3, 1, 2])
+        a, b = RngStream(seed=140), RngStream(seed=140)
+        alloc_1, resid_1 = sample_allocated_weights(a, part.sizes, 0.8)
+        alloc_b, resid_b = sample_allocated_weights(b, part.sizes, 0.8, batch=1)
+        assert np.array_equal(alloc_b[0], alloc_1) and resid_b[0] == resid_1
+        u_1, umin_1 = sample_slices(a, part, alloc_1)
+        u_b, umin_b = sample_slices(b, part, alloc_b)
+        assert np.array_equal(u_b[0], u_1) and umin_b[0] == umin_1
+        assert a.gen.bit_generator.state == b.gen.bit_generator.state
+
+    @given(residual=st.floats(min_value=1e-3, max_value=1.0),
+           umin=st.floats(min_value=1e-12, max_value=0.5),
+           alpha=st.floats(min_value=0.1, max_value=10.0),
+           with_atoms=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_masked_loop_reproduces_scalar_loop(self, residual, umin, alpha,
+                                                with_atoms, seed):
+        a, b = RngStream(seed=seed), RngStream(seed=seed)
+        tail_w, tail_atoms, final = extend_components(a, residual, umin, alpha,
+                                                      CFG, with_atoms=with_atoms)
+        counts, atoms, finals = _extend_masked(b, np.array([residual]),
+                                               np.array([umin]), alpha, CFG,
+                                               with_atoms)
+        assert counts.tolist() == [len(tail_w)]
+        assert finals.tolist() == [final]
+        assert atoms.tolist() == tail_atoms
+        assert a.gen.bit_generator.state == b.gen.bit_generator.state
+
+    def test_counts_follow_shifted_poisson_oracle(self):
+        # Independent oracle: -log(1 - V) with V ~ Beta(1, alpha) is
+        # Exp(alpha), so the number of sticks needed to push residual r
+        # below u is 1 + Poisson(alpha log(r / u)).
+        m, alpha = 40_000, 1.5
+        r = np.where(np.arange(m) % 2 == 0, 0.6, 1.0)
+        u = np.where(np.arange(m) % 2 == 0, 0.01, 0.2)
+        counts, _, _ = extend_components(RngStream(seed=141), r, u, alpha, CFG,
+                                         with_atoms=False)
+        for pick in (r == 0.6, r == 1.0):
+            rate = alpha * math.log(r[pick][0] / u[pick][0])
+            shifted = counts[pick] - 1
+            kmax = int(poisson.ppf(1.0 - 1e-4, rate))
+            observed = np.bincount(np.minimum(shifted, kmax), minlength=kmax + 1)
+            expected = poisson.pmf(np.arange(kmax + 1), rate) * pick.sum()
+            expected[-1] += poisson.sf(kmax, rate) * pick.sum()
+            keep = expected >= 5.0
+            obs = np.append(observed[keep], observed[~keep].sum())
+            exp = np.append(expected[keep], expected[~keep].sum())
+            stat = float(((obs - exp) ** 2 / exp).sum())
+            assert chi2.sf(stat, obs.size - 1) > 1e-3
+            assert abs(shifted.mean() - rate) < 4.0 * math.sqrt(rate / pick.sum())
+
+    def test_runaway_cap_applies_to_every_replicate(self):
+        cfg = ModelConfig(max_extension=3)
+        with pytest.raises(RunawayExtensionError) as err:
+            extend_components(RngStream(seed=142), np.array([0.5, 1.0]),
+                              np.array([0.4, 1e-12]), 5.0, cfg)
+        assert err.value.cap == 3 and err.value.umin == 1e-12
+
+    @pytest.mark.parametrize("residual,umin,alpha", [
+        ([0.5, 0.0], [0.1, 0.1], 1.0), ([0.5, 1.5], [0.1, 0.1], 1.0),
+        ([0.5, 0.5], [0.1, 0.0], 1.0), ([0.5, 0.5], [0.1, 1.0], 1.0),
+        ([0.5, 0.5], [0.1, 0.1], 0.0), ([0.5, 0.5], [0.1], 1.0),
+        ([[0.5]], [[0.1]], 1.0)])
+    def test_bad_vector_input(self, residual, umin, alpha):
+        with pytest.raises(ValueError):
+            extend_components(RngStream(seed=0), np.asarray(residual),
+                              np.asarray(umin), alpha, CFG)
+
+    def test_zero_slices_are_redrawn(self):
+        class FirstDrawZero:
+            """Stream whose first uniform array is all zeros."""
+
+            def __init__(self):
+                self.gen = self
+                self.calls = 0
+
+            def random(self, size):
+                self.calls += 1
+                return np.zeros(size) if self.calls == 1 else np.full(size, 0.5)
+
+        part = _labels_from_sizes([2, 1])
+        alloc = np.array([[0.5, 0.25], [0.2, 0.4]])
+        u, umin = sample_slices(FirstDrawZero(), part, alloc)
+        assert np.array_equal(u, 0.5 * alloc[:, part.labels - 1])
+        assert np.array_equal(umin, [0.125, 0.1])
+
+    def test_zero_weight_rejected_in_any_row(self):
+        part = _labels_from_sizes([1, 1])
+        with pytest.raises(InconsistentStateError):
+            sample_slices(RngStream(seed=0), part,
+                          np.array([[0.5, 0.2], [0.5, 0.0]]))
 
 
 def _ew_quadrature_moments(a, b, n, num_clusters, upper=60.0, m=40_001):
