@@ -96,11 +96,12 @@ def _merge_args(conf: dict, args: argparse.Namespace) -> dict:
     return conf
 
 
+# the config keys that set the model; a benchmark grid cell may override them
+MODEL_KEYS = ("sigma2", "base_mean", "base_var", "alpha_fixed")
+
+
 def _model_config(conf: dict) -> ModelConfig:
-    return ModelConfig(sigma2=conf.get("sigma2", 1.0),
-                       base_mean=conf.get("base_mean", 0.0),
-                       base_var=conf.get("base_var", 1.0),
-                       alpha_fixed=conf.get("alpha_fixed"))
+    return ModelConfig(**{key: conf[key] for key in MODEL_KEYS if key in conf})
 
 
 def _outdir(conf: dict) -> Path:
@@ -187,11 +188,22 @@ def _ess_block(records) -> dict:
 
 def _binder_from_snapshots(snapshots, n: int):
     if n <= MATRIX_N_LIMIT:
-        matrix = CoClusteringMatrix(n)
-        for lab in snapshots:
-            accumulate_coclustering(matrix, lab)
+        matrix = accumulate_coclustering(CoClusteringMatrix(n), snapshots)
         return binder_point_estimate(snapshots, matrix), matrix
     return binder_point_estimate_sparse(snapshots), None
+
+
+def _chain_start(y, kind: SamplerKind, L, rng: RngStream, k: int):
+    """Truncation level (``"n"``: one component per observation) and the
+    k-means start with min(k, n) clusters; blocked Gibbs falls back to
+    round-robin labels when that start has more than L blocks."""
+    n = len(y)
+    if L == "n":
+        L = n
+    init = kmeans_init(y, rng, k=min(k, n))
+    if kind is SamplerKind.BLOCKED_GIBBS and init.num_blocks > L:
+        init = relabel_compact((np.arange(n) % L) + 1)
+    return L, init.labels
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -207,16 +219,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ValueError("sampler must be a kind string or an object "
                          "with 'kind' and optional 'L'")
     kind = SamplerKind(sconf.get("kind", "slice"))
-    L = sconf.get("L")
-    if L == "n":
-        L = ds.n
-    init = kmeans_init(ds.y, RngStream(seed=seed, stream=1),
-                       k=min(int(conf.get("init_k", 5)), ds.n))
-    if kind is SamplerKind.BLOCKED_GIBBS and init.num_blocks > L:
-        init = relabel_compact((np.arange(ds.n) % L) + 1)
+    L, init = _chain_start(ds.y, kind, sconf.get("L"),
+                           RngStream(seed=seed, stream=1),
+                           int(conf.get("init_k", 5)))
     result = run_chain(ds.y, mcfg, RngStream(seed=seed, stream=2), kind,
                        iters=conf["iters"], burnin=conf["burnin"],
-                       init_labels=init.labels, L=L,
+                       init_labels=init, L=L,
                        time_budget_s=conf.get("time_budget_s", 1.0))
     _trace_to_csv(out / "trace.csv", result.records)
 
@@ -288,19 +296,13 @@ def _benchmark_cell(cell: dict) -> dict:
     ds = make_dataset(cell["dataset_kind"],
                       RngStream(seed=seed, stream=10_000 + n), n,
                       **cell.get("dataset_params", {}))
-    mcfg = ModelConfig(sigma2=cell.get("sigma2", 1.0),
-                       alpha_fixed=cell.get("alpha_fixed")).resolved_for(n)
+    mcfg = _model_config(cell).resolved_for(n)
     kind = SamplerKind(cell["sampler"])
-    L = cell.get("L")
-    if L == "n":
-        L = n
-    init = kmeans_init(ds.y, RngStream(seed=seed, stream=20_000 + n),
-                       k=min(5, n))
-    if kind is SamplerKind.BLOCKED_GIBBS and init.num_blocks > L:
-        init = relabel_compact((np.arange(n) % L) + 1)
+    L, init = _chain_start(ds.y, kind, cell.get("L"),
+                           RngStream(seed=seed, stream=20_000 + n), 5)
     result = run_chain(ds.y, mcfg, RngStream(seed=seed, stream=100 + cell["index"]),
                        kind, iters=cell["iters"], burnin=cell["burnin"],
-                       init_labels=init.labels, L=L,
+                       init_labels=init, L=L,
                        time_budget_s=cell["time_budget_s"])
     post = result.records[cell["burnin"]:] if not result.infeasible else result.records
     row = {
@@ -337,15 +339,14 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     grid = bench.get("grid", [dict(c) for c in DEFAULT_BENCHMARK_GRID])
     cells = []
     for idx, g in enumerate(grid):
-        cell = dict(g)
+        cell = {key: conf[key] for key in MODEL_KEYS if key in conf}
+        cell.update(g)
         cell.setdefault("dataset_kind", bench.get("dataset_kind", "three-cluster"))
         cell.setdefault("dataset_params", bench.get("dataset_params", {}))
         cell.setdefault("iters", bench.get("iters", conf["iters"]))
         cell.setdefault("burnin", bench.get("burnin", 0))
         cell.setdefault("time_budget_s", bench.get("time_budget_s",
                                                    conf.get("time_budget_s", 1.0)))
-        cell.setdefault("sigma2", conf.get("sigma2", 1.0))
-        cell.setdefault("alpha_fixed", conf.get("alpha_fixed"))
         cell["seed"] = conf["seed"]
         cell["index"] = idx
         cells.append(cell)
@@ -501,7 +502,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     seed = conf["seed"]
 
     ds = make_dataset("three-cluster", RngStream(seed=seed, stream=0), n)
-    mcfg = ModelConfig(sigma2=conf.get("sigma2", 1.0), alpha_fixed=alpha)
+    mcfg = _model_config({**conf, "alpha_fixed": alpha})
     exact = exact_posterior(ds.y, alpha, mcfg)
     exact.to_csv(out / "oracle_exact.csv")
 

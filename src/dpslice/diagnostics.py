@@ -56,9 +56,7 @@ class CoClusteringMatrix:
     """Accumulator of pairwise co-assignment counts across sampled partitions.
 
     ``counts[i, j]`` holds the number of accumulated samples in which items
-    i and j share a block; the diagonal equals the sample count. Two
-    accumulators over the same n merge associatively, so chains can be
-    accumulated in parallel and combined.
+    i and j share a block; the diagonal equals the sample count.
     """
 
     def __init__(self, n: int):
@@ -76,22 +74,49 @@ class CoClusteringMatrix:
             raise ValueError("no samples accumulated")
         return self.counts / self.num_samples
 
-    def merge(self, other: "CoClusteringMatrix") -> "CoClusteringMatrix":
-        if other.n != self.n:
-            raise ValueError("size mismatch")
-        out = CoClusteringMatrix(self.n)
-        out.counts = self.counts + other.counts
-        out.num_samples = self.num_samples + other.num_samples
-        return out
+
+# columns per one-hot product: bounds its n x columns operands whatever the
+# samples' block counts (up to n each)
+_CHUNK_COLUMNS = 256
 
 
-def accumulate_coclustering(matrix: CoClusteringMatrix, labels) -> CoClusteringMatrix:
-    """Add one sampled partition (a label vector) to the accumulator."""
-    lab = np.asarray(labels)
-    if lab.shape != (matrix.n,):
-        raise ValueError(f"labels have shape {lab.shape}, accumulator is n={matrix.n}")
-    matrix.counts += lab[:, None] == lab[None, :]
-    matrix.num_samples += 1
+def _compact(samples, n: int | None = None):
+    """Stack sampled partitions as 0-based canonical labels, one row per
+    sample, with each sample's block count and its sum of squared block
+    sizes A_s."""
+    parts = [relabel_compact(lab) for lab in samples]
+    if not parts:
+        raise ValueError("need at least one sampled partition")
+    if n is not None and any(p.n != n for p in parts):
+        raise ValueError(f"sampled partitions do not all have n={n} items")
+    labels = np.stack([p.labels for p in parts]) - 1
+    blocks = np.array([p.num_blocks for p in parts])
+    a = np.array([float(p.sizes @ p.sizes) for p in parts])
+    return labels, blocks, a
+
+
+def _one_hot_chunks(labels: np.ndarray, blocks: np.ndarray):
+    """Per chunk of consecutive samples: its rows (a slice), the n x (blocks
+    in the chunk) one-hot block matrix Z, and each item's column in Z for
+    every sample of the chunk. Samples whose first column falls in the same
+    window of ``_CHUNK_COLUMNS`` columns share a chunk."""
+    n = labels.shape[1]
+    first = np.cumsum(blocks) - blocks
+    cuts = [0, *(np.flatnonzero(np.diff(first // _CHUNK_COLUMNS)) + 1), len(labels)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        cols = labels[lo:hi] + (first[lo:hi] - first[lo])[:, None]
+        z = np.zeros((n, int(blocks[lo:hi].sum())))
+        z[np.tile(np.arange(n), hi - lo), cols.ravel()] = 1.0
+        yield slice(lo, hi), z, cols
+
+
+def accumulate_coclustering(matrix: CoClusteringMatrix, samples) -> CoClusteringMatrix:
+    """Add a stack of sampled partitions (label vectors, one per row) to the
+    accumulator: counts += Z Z^T over their one-hot block matrix Z."""
+    labels, blocks, _ = _compact(samples, matrix.n)
+    for _, z, _ in _one_hot_chunks(labels, blocks):
+        matrix.counts += z @ z.T
+    matrix.num_samples += len(labels)
     return matrix
 
 
@@ -115,82 +140,63 @@ class BinderResult:
     loss: float
 
 
+def _binder_pick(samples, cand, a, f, s_total: int, c_total: float) -> BinderResult:
+    """The candidate of least Binder loss; ties go to the earliest sample.
+
+    Against the co-clustering counts C of S samples, candidate s scores
+
+        2S * loss = S * A_s - 2 * F_s + sum(C),
+
+    where A_s = sum_h n_h^2 and F_s = sum_{i,j} 1{s_i = s_j} C_ij; the
+    diagonal terms cancel. Every term is an integer, so the comparison is
+    exact and the tie-break does not depend on float summation order.
+    """
+    scaled = s_total * a - 2.0 * f + c_total
+    best = int(np.argmin(scaled))
+    idx = int(cand[best])
+    return BinderResult(labels=np.asarray(samples[idx]).copy(), sample_index=idx,
+                        loss=float(scaled[best] / (2.0 * s_total)))
+
+
 def binder_point_estimate(samples, matrix: CoClusteringMatrix) -> BinderResult:
     """The sampled partition minimizing Binder loss against the empirical
-    co-clustering probabilities; ties break toward the earliest sample.
+    co-clustering probabilities of ``matrix`` (Dahl 2006); ties break toward
+    the earliest sample.
 
-    Distinct partitions frequently attain exactly equal loss, so the
-    comparison uses the integer-scaled loss S * sum |S 1{same} - counts|
-    computed exactly; the tie-break is then deterministic rather than at
-    the mercy of float summation order.
+    Every sample is a candidate. F_s comes from one-hot products:
+    sum_i (C Z_s)[i, s_i], over chunks of samples.
     """
     samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sampled partition")
-    s_count = matrix.num_samples
-    if s_count == 0:
+    if matrix.num_samples == 0:
         raise ValueError("no samples accumulated")
-    counts = matrix.counts
-    iu = np.triu_indices(matrix.n, k=1)
-    c_upper = counts[iu]
-    best_idx = -1
-    best_scaled = np.inf
-    for idx, lab in enumerate(samples):
-        lab = np.asarray(lab)
-        if lab.shape != (matrix.n,):
-            raise ValueError("sampled partition does not match accumulator size")
-        same = (lab[:, None] == lab[None, :])[iu]
-        scaled = float(np.abs(s_count * same - c_upper).sum())
-        if scaled < best_scaled:
-            best_scaled = scaled
-            best_idx = idx
-    return BinderResult(labels=np.asarray(samples[best_idx]).copy(),
-                        sample_index=best_idx, loss=best_scaled / s_count)
+    labels, blocks, a = _compact(samples, matrix.n)
+    rows = np.arange(matrix.n)
+    f = np.empty(len(samples))
+    for chunk, z, cols in _one_hot_chunks(labels, blocks):
+        f[chunk] = (matrix.counts @ z)[rows, cols].sum(axis=1)
+    return _binder_pick(samples, np.arange(len(samples)), a, f,
+                        matrix.num_samples, float(matrix.counts.sum()))
 
 
 def binder_point_estimate_sparse(samples, max_candidates: int = 400) -> BinderResult:
     """Binder minimizer over sampled partitions without the n x n matrix.
 
-    For candidate s with block sizes (n_h), the loss against the empirical
-    co-clustering of all S samples collapses to
-
-        0.5 * (A_s - 2 * mean_t F(s, t) + mean_t A_t)
-
-    with A_s = sum_h n_h^2 and F(s, t) the squared Frobenius norm of the
-    s-vs-t contingency table; diagonal terms cancel exactly. All three sums
-    are integers, so the scaled loss 2S * loss is computed exactly and both
-    search paths agree on losses and tie-breaks. The candidate set is
-    capped at ``max_candidates`` evenly spaced samples (every sample still
-    enters the co-clustering average).
+    The co-clustering counts are those of all S samples, and F_s is the sum
+    over samples t of the squared Frobenius norm of the s-vs-t contingency
+    table, so the losses and tie-breaks equal those of
+    :func:`binder_point_estimate`. The candidate set is capped at
+    ``max_candidates`` evenly spaced samples (every sample still enters the
+    co-clustering counts).
     """
     samples = list(samples)
+    labels, blocks, a = _compact(samples)
     s_total = len(samples)
-    if s_total == 0:
-        raise ValueError("need at least one sampled partition")
-    compact = []
-    blocks = []
-    for lab in samples:
-        part = relabel_compact(lab)
-        compact.append(part.labels - 1)
-        blocks.append(part.num_blocks)
-    a = np.array([float((np.bincount(c).astype(float) ** 2).sum()) for c in compact])
-    sum_a = float(a.sum())
-    if s_total <= max_candidates:
-        cand = np.arange(s_total)
-    else:
-        cand = np.unique(np.linspace(0, s_total - 1, max_candidates).round().astype(int))
-    best_idx = -1
-    best_scaled = np.inf
-    for s in cand:
-        cs = compact[s]
-        hs = blocks[s]
-        f_sum = 0.0
+    # evenly spaced, and every sample when there are at most max_candidates
+    cand = np.unique(np.linspace(0, s_total - 1, max_candidates).round().astype(int))
+    f = np.zeros(cand.size)
+    for j, s in enumerate(cand):
         for t in range(s_total):
-            cells = np.bincount(cs * blocks[t] + compact[t], minlength=hs * blocks[t])
-            f_sum += float(cells @ cells)
-        scaled = s_total * a[s] - 2.0 * f_sum + sum_a
-        if scaled < best_scaled:
-            best_scaled = scaled
-            best_idx = int(s)
-    return BinderResult(labels=np.asarray(samples[best_idx]).copy(),
-                        sample_index=best_idx, loss=best_scaled / (2.0 * s_total))
+            cells = np.bincount(labels[s] * blocks[t] + labels[t],
+                                minlength=blocks[s] * blocks[t])
+            f[j] += float(cells @ cells)
+    return _binder_pick(samples, cand, a[cand], f, s_total, float(a.sum()))

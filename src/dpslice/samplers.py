@@ -1,6 +1,9 @@
 """Markov chain sweeps for Dirichlet process mixtures of Normals.
 
-Six samplers share one state type and one trace format:
+Six samplers share one state type and one trace format. The five
+data-conditional sweeps are kernels behind one driver, which owns the steps
+they share: the timer, relabelling, the alpha update, the reported log
+likelihood and the trace record.
 
 * ``slice_sweep``: posterior slice sampler with exchangeable-component
   weight updates (Dirichlet over occupied weights plus leftover mass) and a
@@ -257,26 +260,33 @@ def _next_alpha(rng: RngStream, state: MixtureState, part: Partition,
 # allocation passes
 
 
+def _slice_candidates(all_weights, slices):
+    """Each observation's candidates, the components whose weight strictly
+    exceeds its slice: the component indices in increasing weight order, and
+    per observation (as a list) the position in that order of its first
+    candidate."""
+    w = np.asarray(all_weights, dtype=float)
+    order = np.argsort(w, kind="stable")
+    pos = np.searchsorted(w[order], np.asarray(slices, dtype=float),
+                          side="right").tolist()
+    if max(pos) >= w.size:
+        raise InconsistentStateError("slice above every instantiated weight")
+    return order, pos
+
+
 def slice_allocation_update(rng: RngStream, data, all_weights, atoms, slices,
                             cfg: ModelConfig) -> np.ndarray:
     """Joint allocation draw: each observation picks among the components
     whose weight strictly exceeds its slice, with Normal likelihood weights."""
-    w = np.asarray(all_weights, dtype=float)
-    k_total = w.size
-    order = np.argsort(w, kind="stable")
-    w_sorted = w[order]
-    pos = np.searchsorted(w_sorted, np.asarray(slices, dtype=float), side="right")
+    order, pos_l = _slice_candidates(all_weights, slices)
+    k_total = order.size
     order_l = order.tolist()
-    atoms_arr = np.asarray(atoms, dtype=float)
-    atoms_sorted = atoms_arr[order].tolist()
+    atoms_sorted = np.asarray(atoms, dtype=float)[order].tolist()
     inv2s = 0.5 / cfg.sigma2
     y_l = np.asarray(data, dtype=float).tolist()
-    pos_l = pos.tolist()
     out = np.empty(len(y_l), dtype=LABEL_DTYPE)
     for i, yi in enumerate(y_l):
         p = pos_l[i]
-        if p >= k_total:
-            raise InconsistentStateError("slice above every instantiated weight")
         logw = []
         for j in range(p, k_total):
             d = yi - atoms_sorted[j]
@@ -301,13 +311,9 @@ def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
     component's current members excluding i; a component with no remaining
     members reduces to the prior predictive.
     """
-    w = np.asarray(all_weights, dtype=float)
-    k_total = w.size
-    order = np.argsort(w, kind="stable")
-    w_sorted = w[order]
-    pos = np.searchsorted(w_sorted, np.asarray(slices, dtype=float), side="right")
+    order, pos_l = _slice_candidates(all_weights, slices)
+    k_total = order.size
     order_l = order.tolist()
-    pos_l = pos.tolist()
 
     counts = [0] * k_total
     sums = [0.0] * k_total
@@ -325,8 +331,6 @@ def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
         counts[c_old] -= 1
         sums[c_old] -= yi
         p = pos_l[i]
-        if p >= k_total:
-            raise InconsistentStateError("slice above every instantiated weight")
         logw = []
         for j in range(p, k_total):
             k = order_l[j]
@@ -347,44 +351,75 @@ def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
 # sweeps
 
 
-def _rebuild_weight_state(all_w: np.ndarray, atoms: np.ndarray | None,
-                          raw_labels: np.ndarray, residual: float):
-    """Canonicalize labels and reorder component arrays so occupied
-    components come first in appearance order."""
-    part, origin = relabel_compact_with_map(raw_labels)
+def _occupied_first(origin: np.ndarray, all_w: np.ndarray,
+                    atoms: np.ndarray | None, residual: float):
+    """Reorder the component arrays so the occupied components come first,
+    new block h being component ``origin[h-1]``."""
     occ = origin - 1
-    mask = np.ones(all_w.size, dtype=bool)
-    mask[occ] = False
-    weights = WeightState(allocated=all_w[occ], tail=all_w[mask],
+    rest = np.ones(all_w.size, dtype=bool)
+    rest[occ] = False
+    weights = WeightState(allocated=all_w[occ], tail=all_w[rest],
                           residual=residual)
-    new_atoms = None
     if atoms is not None:
-        new_atoms = np.concatenate([atoms[occ], atoms[mask]])
-    return part, weights, new_atoms
+        atoms = np.concatenate([atoms[occ], atoms[rest]])
+    return weights, atoms
+
+
+def _sweep(kernel, state: MixtureState, data, cfg: ModelConfig,
+           rng: RngStream, iteration: int):
+    """The steps every data-conditional sweep shares around its kernel.
+
+    Relabels the incoming partition, updates alpha, runs
+    ``kernel(y, partition, alpha)``, relabels what it drew and reports the
+    log likelihood. The kernel returns four values:
+
+    * each observation's 1-based component id;
+    * the number of components it worked with (the trace's K);
+    * the atoms by component id, kept in the new state; or None when the
+      kernel integrates them out, and atoms drawn given the new partition
+      then serve the report only;
+    * for the slice samplers, every instantiated weight by component id,
+      the leftover mass, the slices and their minimum; otherwise None.
+    """
+    t0 = time.perf_counter_ns()
+    y = np.asarray(data, dtype=float)
+    part = relabel_compact(state.partition.labels)
+    alpha = _next_alpha(rng, state, part, cfg)
+    raw, k_total, atoms, slice_state = kernel(y, part, alpha)
+    newpart, origin = relabel_compact_with_map(raw)
+    weights = slices = umin = None
+    if slice_state is not None:
+        all_w, residual, slices, umin = slice_state
+        weights, atoms = _occupied_first(origin, all_w, atoms, residual)
+    elif atoms is not None:
+        atoms = atoms[origin - 1]
+    if atoms is None:
+        report_atoms = sample_atoms_conjugate(rng, y, newpart, cfg)
+    else:
+        report_atoms = atoms
+    loglik = log_likelihood(y, newpart.labels, report_atoms, cfg)
+    elapsed = time.perf_counter_ns() - t0
+    new_state = MixtureState(partition=newpart, alpha=alpha, weights=weights,
+                             atoms=atoms, slices=slices, umin=umin)
+    rec = TraceRecord(iteration, k_total, newpart.num_blocks, loglik, alpha,
+                      elapsed)
+    return new_state, rec
 
 
 def slice_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
                 iteration: int = 0):
     """One sweep of the posterior slice sampler."""
-    t0 = time.perf_counter_ns()
-    y = np.asarray(data, dtype=float)
-    part = relabel_compact(state.partition.labels)
-    alpha = _next_alpha(rng, state, part, cfg)
-    allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
-    atoms_occ = sample_atoms_conjugate(rng, y, part, cfg)
-    slices, umin = sample_slices(rng, part, allocated)
-    tail_w, tail_atoms, resid_end = extend_components(rng, residual, umin, alpha, cfg)
-    all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
-    all_atoms = np.concatenate([atoms_occ, np.asarray(tail_atoms, dtype=float)])
-    raw = slice_allocation_update(rng, y, all_w, all_atoms, slices, cfg)
-    newpart, wstate, new_atoms = _rebuild_weight_state(all_w, all_atoms, raw, resid_end)
-    loglik = log_likelihood(y, newpart.labels, new_atoms, cfg)
-    elapsed = time.perf_counter_ns() - t0
-    new_state = MixtureState(partition=newpart, alpha=alpha, weights=wstate,
-                             atoms=new_atoms, slices=slices, umin=umin)
-    rec = TraceRecord(iteration, int(all_w.size), newpart.num_blocks,
-                      loglik, alpha, elapsed)
-    return new_state, rec
+    def kernel(y, part, alpha):
+        allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
+        atoms_occ = sample_atoms_conjugate(rng, y, part, cfg)
+        slices, umin = sample_slices(rng, part, allocated)
+        tail_w, tail_atoms, resid_end = extend_components(rng, residual, umin,
+                                                          alpha, cfg)
+        all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
+        all_atoms = np.concatenate([atoms_occ, np.asarray(tail_atoms, dtype=float)])
+        raw = slice_allocation_update(rng, y, all_w, all_atoms, slices, cfg)
+        return raw, all_w.size, all_atoms, (all_w, resid_end, slices, umin)
+    return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
 def slice_sweep_marginal_atoms(state: MixtureState, data, cfg: ModelConfig,
@@ -394,27 +429,16 @@ def slice_sweep_marginal_atoms(state: MixtureState, data, cfg: ModelConfig,
     The reported log likelihood draws throwaway atoms from their conditional
     given the final partition; they are not part of the chain state.
     """
-    t0 = time.perf_counter_ns()
-    y = np.asarray(data, dtype=float)
-    part = relabel_compact(state.partition.labels)
-    alpha = _next_alpha(rng, state, part, cfg)
-    allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
-    slices, umin = sample_slices(rng, part, allocated)
-    tail_w, _, resid_end = extend_components(rng, residual, umin, alpha, cfg,
-                                             with_atoms=False)
-    all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
-    raw_list = _marginal_allocation_pass(rng, y.tolist(), part.labels.tolist(),
-                                         all_w, slices, cfg)
-    raw = np.asarray(raw_list, dtype=LABEL_DTYPE)
-    newpart, wstate, _ = _rebuild_weight_state(all_w, None, raw, resid_end)
-    report_atoms = sample_atoms_conjugate(rng, y, newpart, cfg)
-    loglik = log_likelihood(y, newpart.labels, report_atoms, cfg)
-    elapsed = time.perf_counter_ns() - t0
-    new_state = MixtureState(partition=newpart, alpha=alpha, weights=wstate,
-                             atoms=None, slices=slices, umin=umin)
-    rec = TraceRecord(iteration, int(all_w.size), newpart.num_blocks,
-                      loglik, alpha, elapsed)
-    return new_state, rec
+    def kernel(y, part, alpha):
+        allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
+        slices, umin = sample_slices(rng, part, allocated)
+        tail_w, _, resid_end = extend_components(rng, residual, umin, alpha, cfg,
+                                                 with_atoms=False)
+        all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
+        raw = _marginal_allocation_pass(rng, y.tolist(), part.labels.tolist(),
+                                        all_w, slices, cfg)
+        return raw, all_w.size, None, (all_w, resid_end, slices, umin)
+    return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
 def bgs_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
@@ -428,40 +452,34 @@ def bgs_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    t0 = time.perf_counter_ns()
-    y = np.asarray(data, dtype=float)
-    part = relabel_compact(state.partition.labels)
-    if part.num_blocks > L:
+    if state.partition.num_blocks > L:
         raise InconsistentStateError(
-            f"state has {part.num_blocks} blocks, truncation is {L}")
-    alpha = _next_alpha(rng, state, part, cfg)
-    counts = np.zeros(L)
-    counts[:part.num_blocks] = part.sizes
-    sums = np.zeros(L)
-    sums[:part.num_blocks] = np.bincount(part.labels, weights=y,
-                                         minlength=part.num_blocks + 1)[1:]
-    if L == 1:
-        w = np.ones(1)
-    else:
-        w = sample_dirichlet(rng, counts + alpha / L)
-    prec = 1.0 / cfg.base_var + counts / cfg.sigma2
-    mean = (cfg.base_mean / cfg.base_var + sums / cfg.sigma2) / prec
-    atoms = rng.gen.normal(mean, np.sqrt(1.0 / prec))
+            f"state has {state.partition.num_blocks} blocks, truncation is {L}")
 
-    logpi = np.log(w).tolist()
-    atoms_l = atoms.tolist()
-    inv2s = 0.5 / cfg.sigma2
-    raw = np.empty(y.size, dtype=LABEL_DTYPE)
-    for i, yi in enumerate(y.tolist()):
-        logw = [lp - inv2s * (yi - ph) * (yi - ph)
-                for lp, ph in zip(logpi, atoms_l)]
-        raw[i] = sample_categorical_logweights(rng, logw) + 1
-    newpart, origin = relabel_compact_with_map(raw)
-    loglik = log_likelihood(y, newpart.labels, atoms[origin - 1], cfg)
-    elapsed = time.perf_counter_ns() - t0
-    new_state = MixtureState(partition=newpart, alpha=alpha)
-    rec = TraceRecord(iteration, L, newpart.num_blocks, loglik, alpha, elapsed)
-    return new_state, rec
+    def kernel(y, part, alpha):
+        counts = np.zeros(L)
+        counts[:part.num_blocks] = part.sizes
+        sums = np.zeros(L)
+        sums[:part.num_blocks] = np.bincount(part.labels, weights=y,
+                                             minlength=part.num_blocks + 1)[1:]
+        if L == 1:
+            w = np.ones(1)
+        else:
+            w = sample_dirichlet(rng, counts + alpha / L)
+        prec = 1.0 / cfg.base_var + counts / cfg.sigma2
+        mean = (cfg.base_mean / cfg.base_var + sums / cfg.sigma2) / prec
+        atoms = rng.gen.normal(mean, np.sqrt(1.0 / prec))
+
+        logpi = np.log(w).tolist()
+        atoms_l = atoms.tolist()
+        inv2s = 0.5 / cfg.sigma2
+        raw = np.empty(y.size, dtype=LABEL_DTYPE)
+        for i, yi in enumerate(y.tolist()):
+            logw = [lp - inv2s * (yi - ph) * (yi - ph)
+                    for lp, ph in zip(logpi, atoms_l)]
+            raw[i] = sample_categorical_logweights(rng, logw) + 1
+        return raw, L, atoms, None
+    return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
 def crp_sweep_atoms(state: MixtureState, data, cfg: ModelConfig,
@@ -473,64 +491,53 @@ def crp_sweep_atoms(state: MixtureState, data, cfg: ModelConfig,
     opens a new one with weight alpha * prior predictive. Atoms are
     refreshed from their conjugate posterior at the start of the sweep.
     """
-    t0 = time.perf_counter_ns()
-    y = np.asarray(data, dtype=float)
-    part = relabel_compact(state.partition.labels)
-    alpha = _next_alpha(rng, state, part, cfg)
-    atoms = sample_atoms_conjugate(rng, y, part, cfg).tolist()
-    counts = part.sizes.tolist()
-    labels = part.labels.tolist()
-    active = list(range(len(counts)))
-    free: list[int] = []
+    def kernel(y, part, alpha):
+        atoms = sample_atoms_conjugate(rng, y, part, cfg).tolist()
+        counts = part.sizes.tolist()
+        labels = part.labels.tolist()
+        active = list(range(len(counts)))
+        free: list[int] = []
 
-    s2 = cfg.sigma2
-    inv2s = 0.5 / s2
-    cnorm = -0.5 * (LOG_2PI + math.log(s2))
-    pvar = cfg.base_var + s2
-    inv2p = 0.5 / pvar
-    pnorm = -0.5 * (LOG_2PI + math.log(pvar))
-    prec1 = 1.0 / cfg.base_var + 1.0 / s2
-    var1 = 1.0 / prec1
-    m0_over_v0 = cfg.base_mean / cfg.base_var
-    log_alpha = math.log(alpha)
-    m0 = cfg.base_mean
+        s2 = cfg.sigma2
+        inv2s = 0.5 / s2
+        cnorm = -0.5 * (LOG_2PI + math.log(s2))
+        pvar = cfg.base_var + s2
+        inv2p = 0.5 / pvar
+        pnorm = -0.5 * (LOG_2PI + math.log(pvar))
+        prec1 = 1.0 / cfg.base_var + 1.0 / s2
+        var1 = 1.0 / prec1
+        m0_over_v0 = cfg.base_mean / cfg.base_var
+        log_alpha = math.log(alpha)
+        m0 = cfg.base_mean
 
-    for i, yi in enumerate(y.tolist()):
-        c = labels[i] - 1
-        counts[c] -= 1
-        if counts[c] == 0:
-            active.remove(c)
-            free.append(c)
-        logw = []
-        for k in active:
-            d = yi - atoms[k]
-            logw.append(math.log(counts[k]) + cnorm - inv2s * d * d)
-        d0 = yi - m0
-        logw.append(log_alpha + pnorm - inv2p * d0 * d0)
-        idx = sample_categorical_logweights(rng, logw)
-        if idx == len(active):
-            slot = free.pop() if free else len(counts)
-            if slot == len(counts):
-                counts.append(0)
-                atoms.append(0.0)
-            atoms[slot] = sample_normal(rng, (m0_over_v0 + yi / s2) / prec1, var1)
-            counts[slot] = 1
-            active.append(slot)
-            labels[i] = slot + 1
-        else:
-            k = active[idx]
-            counts[k] += 1
-            labels[i] = k + 1
-
-    raw = np.asarray(labels, dtype=LABEL_DTYPE)
-    newpart, origin = relabel_compact_with_map(raw)
-    atoms_final = np.asarray(atoms, dtype=float)[origin - 1]
-    loglik = log_likelihood(y, newpart.labels, atoms_final, cfg)
-    elapsed = time.perf_counter_ns() - t0
-    new_state = MixtureState(partition=newpart, alpha=alpha, atoms=atoms_final)
-    rec = TraceRecord(iteration, newpart.num_blocks, newpart.num_blocks,
-                      loglik, alpha, elapsed)
-    return new_state, rec
+        for i, yi in enumerate(y.tolist()):
+            c = labels[i] - 1
+            counts[c] -= 1
+            if counts[c] == 0:
+                active.remove(c)
+                free.append(c)
+            logw = []
+            for k in active:
+                d = yi - atoms[k]
+                logw.append(math.log(counts[k]) + cnorm - inv2s * d * d)
+            d0 = yi - m0
+            logw.append(log_alpha + pnorm - inv2p * d0 * d0)
+            idx = sample_categorical_logweights(rng, logw)
+            if idx == len(active):
+                slot = free.pop() if free else len(counts)
+                if slot == len(counts):
+                    counts.append(0)
+                    atoms.append(0.0)
+                atoms[slot] = sample_normal(rng, (m0_over_v0 + yi / s2) / prec1, var1)
+                counts[slot] = 1
+                active.append(slot)
+                labels[i] = slot + 1
+            else:
+                k = active[idx]
+                counts[k] += 1
+                labels[i] = k + 1
+        return labels, len(active), np.asarray(atoms, dtype=float), None
+    return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
 def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
@@ -541,68 +548,57 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
     (count, sum) statistics. The reported log likelihood draws throwaway
     atoms given the final partition; they are not part of the chain state.
     """
-    t0 = time.perf_counter_ns()
-    y = np.asarray(data, dtype=float)
-    part = relabel_compact(state.partition.labels)
-    alpha = _next_alpha(rng, state, part, cfg)
-    counts = part.sizes.tolist()
-    sums = np.bincount(part.labels, weights=y,
-                       minlength=part.num_blocks + 1)[1:].tolist()
-    labels = part.labels.tolist()
-    active = list(range(len(counts)))
-    free: list[int] = []
+    def kernel(y, part, alpha):
+        counts = part.sizes.tolist()
+        sums = np.bincount(part.labels, weights=y,
+                           minlength=part.num_blocks + 1)[1:].tolist()
+        labels = part.labels.tolist()
+        active = list(range(len(counts)))
+        free: list[int] = []
 
-    s2 = cfg.sigma2
-    v0 = cfg.base_var
-    m0_over_v0 = cfg.base_mean / v0
-    pvar = v0 + s2
-    inv2p = 0.5 / pvar
-    pnorm = -0.5 * (LOG_2PI + math.log(pvar))
-    m0 = cfg.base_mean
-    log_alpha = math.log(alpha)
+        s2 = cfg.sigma2
+        v0 = cfg.base_var
+        m0_over_v0 = cfg.base_mean / v0
+        pvar = v0 + s2
+        inv2p = 0.5 / pvar
+        pnorm = -0.5 * (LOG_2PI + math.log(pvar))
+        m0 = cfg.base_mean
+        log_alpha = math.log(alpha)
 
-    for i, yi in enumerate(y.tolist()):
-        c = labels[i] - 1
-        counts[c] -= 1
-        sums[c] -= yi
-        if counts[c] == 0:
-            active.remove(c)
-            free.append(c)
-        logw = []
-        for k in active:
-            m = counts[k]
-            prec = 1.0 / v0 + m / s2
-            mean = (m0_over_v0 + sums[k] / s2) / prec
-            var = 1.0 / prec + s2
-            d = yi - mean
-            logw.append(math.log(m) - 0.5 * (LOG_2PI + math.log(var) + d * d / var))
-        d0 = yi - m0
-        logw.append(log_alpha + pnorm - inv2p * d0 * d0)
-        idx = sample_categorical_logweights(rng, logw)
-        if idx == len(active):
-            slot = free.pop() if free else len(counts)
-            if slot == len(counts):
-                counts.append(0)
-                sums.append(0.0)
-            counts[slot] = 1
-            sums[slot] = yi
-            active.append(slot)
-            labels[i] = slot + 1
-        else:
-            k = active[idx]
-            counts[k] += 1
-            sums[k] += yi
-            labels[i] = k + 1
-
-    raw = np.asarray(labels, dtype=LABEL_DTYPE)
-    newpart = relabel_compact(raw)
-    report_atoms = sample_atoms_conjugate(rng, y, newpart, cfg)
-    loglik = log_likelihood(y, newpart.labels, report_atoms, cfg)
-    elapsed = time.perf_counter_ns() - t0
-    new_state = MixtureState(partition=newpart, alpha=alpha)
-    rec = TraceRecord(iteration, newpart.num_blocks, newpart.num_blocks,
-                      loglik, alpha, elapsed)
-    return new_state, rec
+        for i, yi in enumerate(y.tolist()):
+            c = labels[i] - 1
+            counts[c] -= 1
+            sums[c] -= yi
+            if counts[c] == 0:
+                active.remove(c)
+                free.append(c)
+            logw = []
+            for k in active:
+                m = counts[k]
+                prec = 1.0 / v0 + m / s2
+                mean = (m0_over_v0 + sums[k] / s2) / prec
+                var = 1.0 / prec + s2
+                d = yi - mean
+                logw.append(math.log(m) - 0.5 * (LOG_2PI + math.log(var) + d * d / var))
+            d0 = yi - m0
+            logw.append(log_alpha + pnorm - inv2p * d0 * d0)
+            idx = sample_categorical_logweights(rng, logw)
+            if idx == len(active):
+                slot = free.pop() if free else len(counts)
+                if slot == len(counts):
+                    counts.append(0)
+                    sums.append(0.0)
+                counts[slot] = 1
+                sums[slot] = yi
+                active.append(slot)
+                labels[i] = slot + 1
+            else:
+                k = active[idx]
+                counts[k] += 1
+                sums[k] += yi
+                labels[i] = k + 1
+        return labels, len(active), None, None
+    return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
 def prior_generative_sweep(state: MixtureState, n: int, cfg: ModelConfig,
@@ -644,18 +640,14 @@ def prior_generative_sweep(state: MixtureState, n: int, cfg: ModelConfig,
     all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
     all_atoms = np.concatenate([atoms_occ, np.asarray(tail_atoms, dtype=float)])
 
-    order = np.argsort(all_w, kind="stable")
-    w_sorted = all_w[order]
-    pos = np.searchsorted(w_sorted, slices, side="right")
+    order, pos = _slice_candidates(all_w, slices)
     order_l = order.tolist()
     k_total = all_w.size
     raw = np.empty(n, dtype=LABEL_DTYPE)
-    for i, p in enumerate(pos.tolist()):
-        if p >= k_total:
-            raise InconsistentStateError("slice above every instantiated weight")
+    for i, p in enumerate(pos):
         raw[i] = order_l[p + int(rng.gen.integers(k_total - p))] + 1
-    newpart, wstate, new_atoms = _rebuild_weight_state(all_w, all_atoms, raw,
-                                                       resid_end)
+    newpart, origin = relabel_compact_with_map(raw)
+    wstate, new_atoms = _occupied_first(origin, all_w, all_atoms, resid_end)
     return MixtureState(partition=newpart, alpha=alpha, weights=wstate,
                         atoms=new_atoms, slices=slices, umin=umin)
 

@@ -26,9 +26,9 @@ from dpslice.bounds import (
     overhead_bound_constants,
     simulate_overhead,
 )
-from dpslice.cli import _benchmark_cell, _binder_from_snapshots
+from dpslice.cli import _benchmark_cell, _binder_from_snapshots, _chain_start
 from dpslice.core import ModelConfig, rand_index, relabel_compact
-from dpslice.datagen import kmeans_init, make_dataset
+from dpslice.datagen import make_dataset
 from dpslice.diagnostics import ess
 from dpslice.oracle import (
     enumerate_partitions,
@@ -235,13 +235,11 @@ def test_criterion_7_sweep_time_scaling():
 def _desk_run_rand(kind, dataset_kind, n, L=None):
     """Desk-preset chain (1000 burn-in + 1000 recorded) -> Binder Rand index."""
     ds = make_dataset(dataset_kind, RngStream(seed=SEED, stream=10_000 + n), n)
-    init = kmeans_init(ds.y, RngStream(seed=SEED, stream=20_000 + n),
-                       k=min(5, n))
-    if kind is SamplerKind.BLOCKED_GIBBS and init.num_blocks > L:
-        init = relabel_compact((np.arange(n) % L) + 1)
+    L, init = _chain_start(ds.y, kind, L,
+                           RngStream(seed=SEED, stream=20_000 + n), 5)
     result = run_chain(ds.y, ModelConfig(), RngStream(seed=SEED, stream=3),
                        kind, iters=1_000, burnin=1_000,
-                       init_labels=init.labels, L=L, time_budget_s=600.0)
+                       init_labels=init, L=L, time_budget_s=600.0)
     assert not result.infeasible
     binder, _ = _binder_from_snapshots(result.snapshots, n)
     return rand_index(binder.labels, ds.labels)

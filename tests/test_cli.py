@@ -337,6 +337,42 @@ class TestOracle:
         assert main(["oracle", "--config", cfg]) == 2
 
 
+class TestModelConfig:
+    def test_base_measure_reaches_every_chain_and_the_oracle(self, tmp_path,
+                                                               monkeypatch):
+        import dpslice.cli as cli
+        seen = []
+
+        def capture(fn, cfg_arg):
+            def wrapper(*args, **kwargs):
+                seen.append((fn.__name__, args[cfg_arg]))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # run_chain(data, cfg, ...) and exact_posterior(data, alpha, cfg)
+        monkeypatch.setattr(cli, "run_chain", capture(cli.run_chain, 1))
+        monkeypatch.setattr(cli, "exact_posterior", capture(cli.exact_posterior, 2))
+        model = {"sigma2": 0.5, "base_mean": 0.25, "base_var": 4.0}
+        run = _write_config(tmp_path, _run_config(tmp_path, "run", n=20, iters=10,
+                                                  burnin=5, **model), "run.json")
+        bench = _write_config(tmp_path, {
+            "benchmark": {"grid": [{"sampler": "slice", "n": 20}], "iters": 10,
+                          "time_budget_s": 600.0},
+            "out": str(tmp_path / "bench"), **model}, "bench.json")
+        oracle = _write_config(tmp_path, {
+            "oracle": {"n": 3, "sweeps": 200, "burnin": 10, "tv_limit": 1.0,
+                       "samplers": ["slice"], "bgs_L": [], "alpha": 2.0},
+            "out": str(tmp_path / "oracle"), **model}, "oracle.json")
+        assert main(["run", "--config", run]) == 0
+        assert main(["benchmark", "--config", bench]) == 0
+        assert main(["oracle", "--config", oracle]) == 0
+        assert [name for name, _ in seen] == ["run_chain", "run_chain",
+                                              "exact_posterior", "run_chain"]
+        for name, cfg in seen:
+            assert (cfg.sigma2, cfg.base_mean, cfg.base_var) == (0.5, 0.25, 4.0)
+        assert [cfg.alpha_fixed for _, cfg in seen] == [None, None, 2.0, 2.0]
+
+
 class TestErrorHandling:
     def test_malformed_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -25,11 +25,7 @@ from dpslice.randkit import (
 
 
 def _accumulate_all(samples):
-    n = len(samples[0])
-    mat = CoClusteringMatrix(n)
-    for lab in samples:
-        accumulate_coclustering(mat, lab)
-    return mat
+    return accumulate_coclustering(CoClusteringMatrix(len(samples[0])), samples)
 
 
 class TestEss:
@@ -101,6 +97,16 @@ class TestCoClusteringMatrix:
                              [0.0, 1.0, 2.0]])
         assert np.array_equal(mat.counts, expected)
 
+    def test_counts_match_pairwise_equalities_across_chunks(self):
+        # about 20 blocks per sample, so the 60 samples span several
+        # one-hot products
+        rng = np.random.Generator(np.random.PCG64(8))
+        samples = [rng.integers(1, 31, size=30) for _ in range(60)]
+        expected = sum((s[:, None] == s[None, :]).astype(float) for s in samples)
+        mat = _accumulate_all(samples)
+        assert np.array_equal(mat.counts, expected)
+        assert mat.num_samples == 60
+
     def test_probabilities_unit_diagonal_and_range(self):
         rng = RngStream(seed=5, stream=0)
         samples = [np.array([sample_categorical_logweights(rng, np.zeros(3)) + 1
@@ -110,28 +116,12 @@ class TestCoClusteringMatrix:
         assert np.all((0.0 <= p) & (p <= 1.0))
         assert np.array_equal(p, p.T)
 
-    def test_merge_matches_joint_accumulation(self):
-        samples = [np.array([1, 1, 2, 3]), np.array([1, 2, 2, 1]),
-                   np.array([1, 1, 1, 1]), np.array([1, 2, 3, 4])]
-        joint = _accumulate_all(samples)
-        merged = _accumulate_all(samples[:1]).merge(_accumulate_all(samples[1:]))
-        assert np.array_equal(joint.counts, merged.counts)
-        assert joint.num_samples == merged.num_samples == 4
-
-    def test_merge_is_associative(self):
-        parts = [[np.array([1, 1, 2])], [np.array([1, 2, 2])], [np.array([1, 2, 3])]]
-        a, b, c = (_accumulate_all(p) for p in parts)
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert np.array_equal(left.counts, right.counts)
-        assert left.num_samples == right.num_samples
-
     def test_size_mismatch_rejected(self):
         mat = CoClusteringMatrix(3)
         with pytest.raises(ValueError):
             accumulate_coclustering(mat, np.array([1, 2]))
         with pytest.raises(ValueError):
-            mat.merge(CoClusteringMatrix(4))
+            accumulate_coclustering(mat, [np.array([1, 2, 2]), np.array([1, 2])])
 
     def test_empty_accumulator_has_no_probabilities(self):
         with pytest.raises(ValueError):
@@ -218,11 +208,17 @@ class TestBinderSparsePath:
         n = int(rng.integers(2, 9))
         n_samples = int(rng.integers(1, 13))
         samples = [rng.integers(1, 5, size=n) for _ in range(n_samples)]
-        dense = binder_point_estimate(samples, _accumulate_all(samples))
+        matrix = _accumulate_all(samples)
+        dense = binder_point_estimate(samples, matrix)
         sparse = binder_point_estimate_sparse(samples)
         assert sparse.sample_index == dense.sample_index
         assert sparse.loss == dense.loss
         assert np.array_equal(sparse.labels, dense.labels)
+        # brute force: the pairwise loss of every sample, minimised
+        losses = [binder_loss(s, matrix.probabilities()) for s in samples]
+        assert dense.loss == pytest.approx(min(losses), rel=1e-12, abs=1e-12)
+        assert losses[dense.sample_index] == pytest.approx(min(losses),
+                                                           rel=1e-12, abs=1e-12)
 
     def test_candidate_cap_still_returns_member_with_valid_loss(self):
         rng = np.random.Generator(np.random.PCG64(3))

@@ -516,13 +516,18 @@ class TestSweepInvariants:
         (crp_sweep_atoms, {}),
         (crp_sweep_collapsed, {}),
     ])
-    def test_state_and_record_wellformed(self, sweep, kw):
-        cfg = ModelConfig().resolved_for(DATA6.size)
-        rng = RngStream(seed=161)
-        init = [1, 2, 3, 4, 1, 2] if "L" in kw else [1, 2, 3, 4, 5, 6]
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=1, max_value=30))
+    @settings(max_examples=25, deadline=None)
+    def test_state_and_record_wellformed(self, sweep, kw, seed, n):
+        gen = np.random.default_rng(seed)
+        y = gen.normal(gen.choice([-3.0, 0.0, 3.0], n), 1.0)
+        cfg = ModelConfig().resolved_for(n)
+        rng = RngStream(seed=seed)
+        init = np.arange(n) % kw["L"] + 1 if "L" in kw else np.arange(1, n + 1)
         state = MixtureState(partition=relabel_compact(init), alpha=1.0)
-        for it in range(50):
-            state, rec = sweep(state, DATA6, cfg, rng, iteration=it, **kw)
+        for it in range(15):
+            state, rec = sweep(state, y, cfg, rng, iteration=it, **kw)
             state.validate()
             assert rec.k_total >= rec.num_clusters >= 1
             assert rec.num_clusters == state.partition.num_blocks
