@@ -11,7 +11,6 @@ from .core import (
     TraceRecord,
     WeightState,
     log_likelihood,
-    state_log_likelihood,
     rand_index,
     relabel_compact,
     relabel_compact_with_map,

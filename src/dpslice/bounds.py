@@ -138,13 +138,6 @@ def _partition_from_sizes(sizes: np.ndarray) -> Partition:
     return Partition(labels=labels, sizes=sizes.copy())
 
 
-@dataclass(frozen=True)
-class OverheadSample:
-    k_minus_h: int
-    umin: float
-    spec: str
-
-
 class OverheadSamples:
     """Monte Carlo draws of the overhead K - H and of u_min for one
     (n, partition, alpha) configuration."""
@@ -159,10 +152,6 @@ class OverheadSamples:
 
     def __len__(self) -> int:
         return int(self.k_minus_h.size)
-
-    def __getitem__(self, i: int) -> OverheadSample:
-        return OverheadSample(k_minus_h=int(self.k_minus_h[i]),
-                              umin=float(self.umin[i]), spec=self.spec)
 
 
 def _fill_slice_minima(rng: RngStream, part: Partition, alpha: float,

@@ -42,7 +42,7 @@ from .diagnostics import (
 )
 from .oracle import MAX_ENUM_N, exact_posterior, tv_distance
 from .randkit import RngStream
-from .samplers import SamplerKind, run_chain
+from .samplers import SamplerKind, make_sweep, run_chain
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 12345
@@ -196,10 +196,13 @@ def _binder_from_snapshots(snapshots, n: int):
 def _chain_start(y, kind: SamplerKind, L, rng: RngStream, k: int):
     """Truncation level (``"n"``: one component per observation) and the
     k-means start with min(k, n) clusters; blocked Gibbs falls back to
-    round-robin labels when that start has more than L blocks."""
+    round-robin labels when that start has more than L blocks. A sampler
+    and truncation level the chain would reject fail here, before k-means
+    runs."""
     n = len(y)
     if L == "n":
         L = n
+    make_sweep(kind, L)
     init = kmeans_init(y, rng, k=min(k, n))
     if kind is SamplerKind.BLOCKED_GIBBS and init.num_blocks > L:
         init = relabel_compact((np.arange(n) % L) + 1)
@@ -289,6 +292,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 # benchmark
 
 
+def _map_cells(fn, cells, threads: int) -> list:
+    """``fn`` over the grid cells in order, in ``threads`` worker processes
+    when that is more than one."""
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, cells))
+    return [fn(c) for c in cells]
+
+
 def _benchmark_cell(cell: dict) -> dict:
     """One (sampler, n) grid cell; runs in a worker process."""
     seed = cell["seed"]
@@ -350,12 +362,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         cell["seed"] = conf["seed"]
         cell["index"] = idx
         cells.append(cell)
-    threads = conf["threads"]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_benchmark_cell, cells))
-    else:
-        rows = [_benchmark_cell(c) for c in cells]
+    rows = _map_cells(_benchmark_cell, cells, conf["threads"])
     path = out / "benchmark.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -416,13 +423,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                              and any(n == ta[0] and alpha == ta[1] for ta in tails_at)}
             cells.append(cell)
             idx += 1
-    threads = conf["threads"]
     if "overhead" in checks or "tails" in checks:
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_verify_cell, cells))
-        else:
-            results = [_verify_cell(c) for c in cells]
+        results = _map_cells(_verify_cell, cells, conf["threads"])
     else:
         results = []
 

@@ -92,11 +92,6 @@ class Partition:
     def num_blocks(self) -> int:
         return int(self.sizes.size)
 
-    def block_indices(self) -> list[np.ndarray]:
-        order = np.argsort(self.labels, kind="stable")
-        bounds = np.cumsum(self.sizes)[:-1]
-        return np.split(order, bounds)
-
     def validate(self) -> None:
         labels, sizes = self.labels, self.sizes
         if labels.ndim != 1 or labels.size == 0:
@@ -240,11 +235,6 @@ def log_likelihood(data: np.ndarray, labels: np.ndarray, atoms: np.ndarray,
     resid = y - phi[lab - 1]
     return float(-0.5 * (resid @ resid) / cfg.sigma2
                  - 0.5 * y.size * (LOG_2PI + math.log(cfg.sigma2)))
-
-
-def state_log_likelihood(state: "MixtureState", data, cfg: ModelConfig) -> float:
-    """log_likelihood evaluated at a full sampler state."""
-    return log_likelihood(data, state.partition.labels, state.atoms, cfg)
 
 
 def rand_index(labels_p, labels_q) -> float:

@@ -65,18 +65,6 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def sample_uniform(rng: RngStream, lo: float = 0.0, hi: float = 1.0) -> float:
-    """One draw from Uniform(lo, hi), guaranteed strictly inside the interval."""
-    lo = _require_finite("lo", lo)
-    hi = _require_finite("hi", hi)
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    while True:
-        x = rng.gen.uniform(lo, hi)
-        if lo < x < hi:
-            return float(x)
-
-
 def sample_beta(rng: RngStream, a: float, b: float) -> float:
     """Beta(a, b) draw clamped to [1e-300, 1 - 1e-16]."""
     a = _require_finite("a", a)

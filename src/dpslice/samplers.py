@@ -22,6 +22,11 @@ number of likelihood evaluations the algorithm actually performs, which is
 what the benchmark harness measures. Block draws (weights, atoms, slice
 variables) are vectorized.
 
+One helper, ``_posterior``, holds the Normal-Normal conjugate update behind
+every posterior atom draw and predictive density. The two collapsed passes
+keep each component's predictive and refresh only those of the component an
+observation leaves and the one it joins.
+
 The weight and slice draws also take a leading replicate axis, and the stick
 extension takes vectors of residuals and slice minima, so the
 cost-verification harness in ``bounds`` runs many replicates through the
@@ -92,20 +97,34 @@ def sample_allocated_weights(rng: RngStream, sizes, alpha: float,
     return w[..., :-1], float(residual) if batch is None else residual
 
 
+def _conjugate_prior(cfg: ModelConfig):
+    """The constants of the Normal-Normal update, bound once per sweep:
+    (1/base_var, base_mean/base_var, sigma2)."""
+    return 1.0 / cfg.base_var, cfg.base_mean / cfg.base_var, cfg.sigma2
+
+
+def _posterior(count, total, prior, noise=0.0):
+    """Posterior (mean, variance) of a component's location given ``count``
+    members that sum to ``total``; with arrays, one pair per component.
+
+    Normal-Normal conjugacy: precision 1/base_var + count/sigma2, mean the
+    precision-weighted average of prior mean and block sum. With ``noise``
+    set to sigma2 the variance is that of the predictive of a new member,
+    which at count 0 is the prior predictive.
+    """
+    prec0, m0_prec0, s2 = prior
+    prec = prec0 + count / s2
+    return (m0_prec0 + total / s2) / prec, 1.0 / prec + noise
+
+
 def sample_atoms_conjugate(rng: RngStream, data, partition: Partition,
                            cfg: ModelConfig) -> np.ndarray:
-    """Posterior draw of each occupied component's location.
-
-    Normal-Normal conjugacy: precision 1/base_var + n_h/sigma2, mean the
-    precision-weighted average of prior mean and block sum.
-    """
+    """Posterior draw of each occupied component's location."""
     y = np.asarray(data, dtype=float)
-    labels = partition.labels
-    h = partition.num_blocks
-    sums = np.bincount(labels, weights=y, minlength=h + 1)[1:]
-    prec = 1.0 / cfg.base_var + partition.sizes / cfg.sigma2
-    mean = (cfg.base_mean / cfg.base_var + sums / cfg.sigma2) / prec
-    return rng.gen.normal(mean, np.sqrt(1.0 / prec))
+    sums = np.bincount(partition.labels, weights=y,
+                       minlength=partition.num_blocks + 1)[1:]
+    mean, var = _posterior(partition.sizes, sums, _conjugate_prior(cfg))
+    return rng.gen.normal(mean, np.sqrt(var))
 
 
 def sample_slices(rng: RngStream, partition: Partition, allocated):
@@ -296,55 +315,54 @@ def slice_allocation_update(rng: RngStream, data, all_weights, atoms, slices,
     return out
 
 
-def _predictive_params(count: int, total: float, cfg: ModelConfig):
-    prec = 1.0 / cfg.base_var + count / cfg.sigma2
-    mean = (cfg.base_mean / cfg.base_var + total / cfg.sigma2) / prec
-    var = 1.0 / prec + cfg.sigma2
-    return mean, var
-
-
 def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
                               slices, cfg: ModelConfig) -> list[int]:
     """Sequential allocation with atoms integrated out.
 
     Component k's weight is the Normal predictive of y_i given that
     component's current members excluding i; a component with no remaining
-    members reduces to the prior predictive.
+    members reduces to the prior predictive. The pass works in the weight
+    order, so observation i's candidates are the positions from its first
+    one to the end, and it keeps each position's predictive entry,
+    refreshing only the two whose members change.
     """
     order, pos_l = _slice_candidates(all_weights, slices)
     k_total = order.size
     order_l = order.tolist()
+    rank = dict(zip(order_l, range(k_total)))
 
     counts = [0] * k_total
     sums = [0.0] * k_total
-    for i, c in enumerate(labels_l):
-        counts[c - 1] += 1
-        sums[c - 1] += y_l[i]
+    at = [rank[c - 1] for c in labels_l]
+    for i, j in enumerate(at):
+        counts[j] += 1
+        sums[j] += y_l[i]
 
-    s2 = cfg.sigma2
-    v0 = cfg.base_var
-    m0 = cfg.base_mean
-    m0_over_v0 = m0 / v0
-    labels = list(labels_l)
+    # predictive entries (mean, variance, LOG_2PI + log variance)
+    prior = _conjugate_prior(cfg)
+    s2 = prior[2]
+    pred = []
+    for m, t in zip(counts, sums):
+        mean, var = _posterior(m, t, prior, s2)
+        pred.append((mean, var, LOG_2PI + math.log(var)))
     for i, yi in enumerate(y_l):
-        c_old = labels[i] - 1
-        counts[c_old] -= 1
-        sums[c_old] -= yi
+        j = at[i]
+        counts[j] -= 1
+        sums[j] -= yi
+        mean, var = _posterior(counts[j], sums[j], prior, s2)
+        pred[j] = (mean, var, LOG_2PI + math.log(var))
         p = pos_l[i]
         logw = []
-        for j in range(p, k_total):
-            k = order_l[j]
-            prec = 1.0 / v0 + counts[k] / s2
-            mean = (m0_over_v0 + sums[k] / s2) / prec
-            var = 1.0 / prec + s2
+        for mean, var, norm in pred[p:]:
             d = yi - mean
-            logw.append(-0.5 * (LOG_2PI + math.log(var) + d * d / var))
-        idx = sample_categorical_logweights(rng, logw)
-        c_new = order_l[p + idx]
-        labels[i] = c_new + 1
-        counts[c_new] += 1
-        sums[c_new] += yi
-    return labels
+            logw.append(-0.5 * (norm + d * d / var))
+        j = p + sample_categorical_logweights(rng, logw)
+        at[i] = j
+        counts[j] += 1
+        sums[j] += yi
+        mean, var = _posterior(counts[j], sums[j], prior, s2)
+        pred[j] = (mean, var, LOG_2PI + math.log(var))
+    return [order_l[j] + 1 for j in at]
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +484,8 @@ def bgs_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
             w = np.ones(1)
         else:
             w = sample_dirichlet(rng, counts + alpha / L)
-        prec = 1.0 / cfg.base_var + counts / cfg.sigma2
-        mean = (cfg.base_mean / cfg.base_var + sums / cfg.sigma2) / prec
-        atoms = rng.gen.normal(mean, np.sqrt(1.0 / prec))
+        mean, var = _posterior(counts, sums, _conjugate_prior(cfg))
+        atoms = rng.gen.normal(mean, np.sqrt(var))
 
         logpi = np.log(w).tolist()
         atoms_l = atoms.tolist()
@@ -498,17 +515,14 @@ def crp_sweep_atoms(state: MixtureState, data, cfg: ModelConfig,
         active = list(range(len(counts)))
         free: list[int] = []
 
-        s2 = cfg.sigma2
+        prior = _conjugate_prior(cfg)
+        s2 = prior[2]
         inv2s = 0.5 / s2
         cnorm = -0.5 * (LOG_2PI + math.log(s2))
-        pvar = cfg.base_var + s2
+        m0, pvar = _posterior(0, 0.0, prior, s2)
         inv2p = 0.5 / pvar
         pnorm = -0.5 * (LOG_2PI + math.log(pvar))
-        prec1 = 1.0 / cfg.base_var + 1.0 / s2
-        var1 = 1.0 / prec1
-        m0_over_v0 = cfg.base_mean / cfg.base_var
         log_alpha = math.log(alpha)
-        m0 = cfg.base_mean
 
         for i, yi in enumerate(y.tolist()):
             c = labels[i] - 1
@@ -528,7 +542,7 @@ def crp_sweep_atoms(state: MixtureState, data, cfg: ModelConfig,
                 if slot == len(counts):
                     counts.append(0)
                     atoms.append(0.0)
-                atoms[slot] = sample_normal(rng, (m0_over_v0 + yi / s2) / prec1, var1)
+                atoms[slot] = sample_normal(rng, *_posterior(1, yi, prior))
                 counts[slot] = 1
                 active.append(slot)
                 labels[i] = slot + 1
@@ -545,8 +559,10 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
     """Sequential urn sweep with atoms integrated out.
 
     Cluster weights use the leave-one-out Normal predictive from running
-    (count, sum) statistics. The reported log likelihood draws throwaway
-    atoms given the final partition; they are not part of the chain state.
+    (count, sum) statistics; each cluster keeps its predictive entry, and
+    only the entries of the cluster an observation leaves and the one it
+    joins are refreshed. The reported log likelihood draws throwaway atoms
+    given the final partition; they are not part of the chain state.
     """
     def kernel(y, part, alpha):
         counts = part.sizes.tolist()
@@ -556,13 +572,16 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
         active = list(range(len(counts)))
         free: list[int] = []
 
-        s2 = cfg.sigma2
-        v0 = cfg.base_var
-        m0_over_v0 = cfg.base_mean / v0
-        pvar = v0 + s2
+        # predictive entries (mean, variance, LOG_2PI + log variance)
+        prior = _conjugate_prior(cfg)
+        s2 = prior[2]
+        pred = []
+        for m, t in zip(counts, sums):
+            mean, var = _posterior(m, t, prior, s2)
+            pred.append((mean, var, LOG_2PI + math.log(var)))
+        m0, pvar = _posterior(0, 0.0, prior, s2)
         inv2p = 0.5 / pvar
         pnorm = -0.5 * (LOG_2PI + math.log(pvar))
-        m0 = cfg.base_mean
         log_alpha = math.log(alpha)
 
         for i, yi in enumerate(y.tolist()):
@@ -572,14 +591,14 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
             if counts[c] == 0:
                 active.remove(c)
                 free.append(c)
+            else:
+                mean, var = _posterior(counts[c], sums[c], prior, s2)
+                pred[c] = (mean, var, LOG_2PI + math.log(var))
             logw = []
             for k in active:
-                m = counts[k]
-                prec = 1.0 / v0 + m / s2
-                mean = (m0_over_v0 + sums[k] / s2) / prec
-                var = 1.0 / prec + s2
+                mean, var, norm = pred[k]
                 d = yi - mean
-                logw.append(math.log(m) - 0.5 * (LOG_2PI + math.log(var) + d * d / var))
+                logw.append(math.log(counts[k]) - 0.5 * (norm + d * d / var))
             d0 = yi - m0
             logw.append(log_alpha + pnorm - inv2p * d0 * d0)
             idx = sample_categorical_logweights(rng, logw)
@@ -588,15 +607,17 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
                 if slot == len(counts):
                     counts.append(0)
                     sums.append(0.0)
+                    pred.append(None)
                 counts[slot] = 1
                 sums[slot] = yi
                 active.append(slot)
-                labels[i] = slot + 1
             else:
-                k = active[idx]
-                counts[k] += 1
-                sums[k] += yi
-                labels[i] = k + 1
+                slot = active[idx]
+                counts[slot] += 1
+                sums[slot] += yi
+            labels[i] = slot + 1
+            mean, var = _posterior(counts[slot], sums[slot], prior, s2)
+            pred[slot] = (mean, var, LOG_2PI + math.log(var))
         return labels, len(active), None, None
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
@@ -692,6 +713,10 @@ class ChainResult:
     iters: int
 
 
+# the time budget covers this many first sweeps of a chain
+FEASIBILITY_WINDOW = 10
+
+
 def default_snapshot_thin(n: int) -> int:
     return 1 if n <= 2000 else 5
 
@@ -699,11 +724,11 @@ def default_snapshot_thin(n: int) -> int:
 def run_chain(data, cfg: ModelConfig, rng: RngStream, kind: SamplerKind,
               iters: int, burnin: int, init_labels=None, L: int | None = None,
               snapshot_thin: int | None = None, collect_snapshots: bool = True,
-              time_budget_s: float = 1.0, feasibility_window: int = 10) -> ChainResult:
+              time_budget_s: float = 1.0) -> ChainResult:
     """Drive a sampler for burnin + iters sweeps.
 
     Aborts and flags the result infeasible when the first
-    ``feasibility_window`` sweeps together exceed ``time_budget_s`` seconds.
+    ``FEASIBILITY_WINDOW`` sweeps together exceed ``time_budget_s`` seconds.
     Snapshots of the label vector are collected after burn-in every
     ``snapshot_thin`` sweeps.
     """
@@ -742,7 +767,7 @@ def run_chain(data, cfg: ModelConfig, rng: RngStream, kind: SamplerKind,
     for t in range(1, total + 1):
         state, rec = sweep(state, y, cfg, rng, iteration=t)
         records.append(rec)
-        if t <= feasibility_window:
+        if t <= FEASIBILITY_WINDOW:
             spent_ns += rec.elapsed_ns
             if spent_ns > budget_ns:
                 infeasible = True

@@ -9,7 +9,6 @@ import pytest
 
 from dpslice.bounds import (
     BoundConstants,
-    OverheadSample,
     check_exponential_tail,
     check_merge_monotonicity,
     check_overhead_bound,
@@ -167,10 +166,6 @@ class TestSimulateOverhead:
         assert len(s) == 500
         assert np.all(s.k_minus_h >= 0)
         assert np.all((s.umin > 0.0) & (s.umin < 1.0))
-        one = s[3]
-        assert isinstance(one, OverheadSample)
-        assert one.k_minus_h == s.k_minus_h[3]
-        assert one.spec == "singleton"
 
     def test_spec_echo_for_custom_sizes(self):
         s = simulate_overhead(RngStream(seed=71, stream=0), 6, [3, 3], 1.0, 10)

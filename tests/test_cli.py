@@ -148,6 +148,20 @@ class TestRun:
         summary = json.loads((tmp_path / "bgsn" / "summary.json").read_text())
         assert summary["L"] == 12
 
+    def test_bgs_without_L_is_config_error(self, tmp_path, capsys,
+                                           monkeypatch):
+        import dpslice.cli as cli
+
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("k-means ran before the config was checked")
+
+        monkeypatch.setattr(cli, "kmeans_init", no_kmeans)
+        conf = _run_config(tmp_path, "bgs_noL", sampler="bgs")
+        assert main(["run", "--config", _write_config(tmp_path, conf)]) == 2
+        assert "error: blocked Gibbs requires a truncation level" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "bgs_noL" / "trace.csv").exists()
+
     def test_dataset_from_file(self, tmp_path):
         gen_cfg = _write_config(tmp_path, {
             "datasets": [{"kind": "three-cluster", "n": 21, "name": "d"}],
@@ -237,6 +251,12 @@ class TestBenchmark:
         assert rows[1][8] == "true"
         assert rows[1][7] == ""
         assert rows[2][8] == "false"
+
+    def test_bgs_cell_without_L_is_config_error(self, tmp_path, capsys):
+        cfg = self._bench_conf(tmp_path, "bench3", [{"sampler": "bgs", "n": 20}])
+        assert main(["benchmark", "--config", cfg]) == 2
+        assert "error: blocked Gibbs requires a truncation level" \
+            in capsys.readouterr().err
 
     def test_thread_count_does_not_change_results(self, tmp_path):
         grid = [{"sampler": "slice", "n": 24}, {"sampler": "crp-atoms", "n": 24}]

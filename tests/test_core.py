@@ -18,7 +18,6 @@ from dpslice.core import (
     rand_index,
     relabel_compact,
     relabel_compact_with_map,
-    state_log_likelihood,
 )
 
 label_vectors = st.lists(st.integers(min_value=1, max_value=6),
@@ -82,13 +81,6 @@ class TestPartitionValidate:
                          sizes=np.asarray(sizes, dtype=np.int64))
         with pytest.raises(InconsistentStateError):
             part.validate()
-
-    def test_block_indices_cover_everything(self):
-        part = relabel_compact([1, 2, 1, 3, 2, 1])
-        blocks = part.block_indices()
-        assert sorted(np.concatenate(blocks).tolist()) == list(range(6))
-        for h, idx in enumerate(blocks, start=1):
-            assert np.all(part.labels[idx] == h)
 
 
 class TestWeightState:
@@ -261,18 +253,6 @@ class TestLogLikelihood:
         with pytest.raises(InconsistentStateError):
             log_likelihood(np.array([0.0, 1.0]), np.array([1, 2]),
                            np.array([0.0]), cfg)
-
-    def test_state_wrapper(self):
-        cfg = ModelConfig()
-        part = relabel_compact([1, 2, 1])
-        state = MixtureState(partition=part, alpha=1.0,
-                             atoms=np.array([0.0, 2.0]))
-        y = np.array([0.1, 2.2, -0.3])
-        assert state_log_likelihood(state, y, cfg) == pytest.approx(
-            log_likelihood(y, part.labels, state.atoms, cfg))
-        state.atoms = None
-        with pytest.raises(InconsistentStateError):
-            state_log_likelihood(state, y, cfg)
 
 
 class TestRandIndex:

@@ -1,12 +1,18 @@
 """Golden regression values: short chains of the five data-conditional
 samplers and the Binder search on a fixed snapshot set.
 
-Every value below was recorded from the implementation before the sweeps
-shared one driver and the Binder routes shared one loss. A draw that moves
-in the random stream changes a trace row or the final labels, and any change
-to the Binder scoring changes the pick or its loss. Floats enter the trace
-digests at ten significant digits, so the values do not depend on the last
-bit of a platform's ``log``.
+The default-model values were recorded from the implementation before the
+sweeps shared one driver and the Binder routes shared one loss; the
+off-default values, before the samplers shared one conjugate update. A draw
+that moves in the random stream changes a trace row or the final labels, and
+any change to the Binder scoring changes the pick or its loss. Floats enter
+the trace digests at ten significant digits, so the values do not depend on
+the last bit of a platform's ``log``.
+
+At ``ModelConfig()`` the noise and prior variances are both 1 and the prior
+mean is 0, so a posterior formula that swaps the two variances or drops the
+prior mean gives the same chains there. The off-default rows run the same
+chains with all three set apart.
 """
 import hashlib
 
@@ -41,6 +47,25 @@ GOLDEN_CHAINS = [
       3, 3, 3, 3, 3, 3, 3, 3, 3, 3]),
 ]
 
+OFF_DEFAULT = ModelConfig(sigma2=0.7, base_mean=0.5, base_var=3.0)
+GOLDEN_CHAINS_OFF_DEFAULT = [
+    ("slice", None, "aafcd66de52a71c7",
+     [1, 2, 2, 2, 2, 2, 2, 2, 1, 2, 3, 1, 1, 3, 4, 3, 2, 1, 1, 1,
+      5, 3, 5, 5, 5, 5, 5, 5, 5, 5]),
+    ("slice-marginal", None, "e39baed5e1a2c726",
+     [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 3, 3, 1, 3, 1, 3,
+      5, 5, 5, 5, 5, 5, 5, 5, 5, 5]),
+    ("bgs", 5, "3a02c3acf5eac07e",
+     [1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 2, 2, 2, 2, 2, 2,
+      3, 3, 3, 3, 3, 3, 3, 3, 3, 3]),
+    ("crp-atoms", None, "c9cc0869fb4c1ae0",
+     [1, 2, 1, 1, 1, 1, 1, 1, 1, 2, 3, 3, 2, 4, 3, 3, 2, 3, 2, 2,
+      4, 4, 4, 4, 4, 4, 4, 4, 4, 4]),
+    ("crp-collapsed", None, "f6fba473342bef3c",
+     [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 2, 1, 2, 2, 2,
+      4, 4, 4, 4, 4, 4, 4, 4, 4, 4]),
+]
+
 
 def _trace_digest(records) -> str:
     h = hashlib.sha256()
@@ -54,7 +79,20 @@ def _trace_digest(records) -> str:
                          [(i, *row) for i, row in enumerate(GOLDEN_CHAINS)],
                          ids=[row[0] for row in GOLDEN_CHAINS])
 def test_chain_trace_and_final_labels(stream, kind, L, digest, labels):
-    result = run_chain(Y, ModelConfig(), RngStream(seed=777, stream=stream),
+    _check_chain(ModelConfig(), stream, kind, L, digest, labels)
+
+
+@pytest.mark.parametrize("stream,kind,L,digest,labels",
+                         [(i, *row) for i, row
+                          in enumerate(GOLDEN_CHAINS_OFF_DEFAULT)],
+                         ids=[row[0] for row in GOLDEN_CHAINS_OFF_DEFAULT])
+def test_chain_trace_and_final_labels_off_default_model(stream, kind, L,
+                                                        digest, labels):
+    _check_chain(OFF_DEFAULT, stream, kind, L, digest, labels)
+
+
+def _check_chain(cfg, stream, kind, L, digest, labels):
+    result = run_chain(Y, cfg, RngStream(seed=777, stream=stream),
                        SamplerKind(kind), iters=25, burnin=0, L=L,
                        time_budget_s=600.0)
     assert len(result.records) == 25

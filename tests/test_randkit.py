@@ -17,7 +17,6 @@ from dpslice.randkit import (
     sample_dirichlet,
     sample_gamma,
     sample_normal,
-    sample_uniform,
 )
 
 M = 100_000
@@ -62,7 +61,6 @@ class TestRngStream:
     def test_determinism_property(self, seed, stream):
         a = RngStream(seed=seed, stream=stream)
         b = RngStream(seed=seed, stream=stream)
-        assert sample_uniform(a) == sample_uniform(b)
         assert sample_beta(a, 1.0, 2.0) == sample_beta(b, 1.0, 2.0)
         assert sample_gamma(a, 3.0, 1.5) == sample_gamma(b, 3.0, 1.5)
         assert sample_normal(a, 0.0, 2.0) == sample_normal(b, 0.0, 2.0)
@@ -72,30 +70,6 @@ class TestRngStream:
     def test_bad_identifiers_rejected(self, seed, stream):
         with pytest.raises(ValueError):
             RngStream(seed=seed, stream=stream)
-
-
-class TestUniform:
-    def test_unit_interval_mean(self):
-        rng = RngStream(seed=10)
-        x = draws(lambda r: sample_uniform(r), rng)
-        assert np.all((x > 0.0) & (x < 1.0))
-        assert abs(x.mean() - 0.5) < 0.01
-
-    def test_quarter_interval_support(self):
-        rng = RngStream(seed=11)
-        x = draws(lambda r: sample_uniform(r, 0.0, 0.25), rng, 10_000)
-        assert np.all((x > 0.0) & (x < 0.25))
-
-    def test_cdf_at_half(self):
-        rng = RngStream(seed=12)
-        x = draws(lambda r: sample_uniform(r), rng)
-        assert abs(np.mean(x <= 0.5) - 0.5) < 0.01
-
-    @pytest.mark.parametrize("lo,hi", [(1.0, 0.0), (0.0, 0.0),
-                                       (math.inf, 1.0), (0.0, math.nan)])
-    def test_bad_bounds(self, lo, hi):
-        with pytest.raises(ValueError):
-            sample_uniform(RngStream(seed=0), lo, hi)
 
 
 class TestBeta:

@@ -11,6 +11,7 @@ from scipy.special import gammaln
 from scipy.stats import chi2, poisson
 
 from dpslice.core import (
+    LOG_2PI,
     InconsistentStateError,
     MixtureState,
     ModelConfig,
@@ -19,13 +20,15 @@ from dpslice.core import (
     WeightState,
     relabel_compact,
 )
-from dpslice.oracle import exact_posterior, tv_distance
-from dpslice.randkit import RngStream
+from dpslice.oracle import cluster_log_marginal, exact_posterior, tv_distance
+from dpslice.randkit import RngStream, sample_categorical_logweights
 from dpslice.samplers import (
     ChainResult,
     SamplerKind,
+    _conjugate_prior,
     _extend_masked,
-    _predictive_params,
+    _marginal_allocation_pass,
+    _posterior,
     bgs_sweep,
     crp_sweep_atoms,
     crp_sweep_collapsed,
@@ -579,20 +582,105 @@ class TestSweepInvariants:
             median_sweep_ns(slice_sweep)
 
 
+def _reference_marginal_pass(rng, y_l, labels_l, all_w, slices, cfg):
+    """The marginal allocation pass with every candidate's predictive worked
+    out from scratch for each observation."""
+    order = np.argsort(all_w, kind="stable")
+    pos = np.searchsorted(all_w[order], slices, side="right").tolist()
+    counts = [0] * all_w.size
+    sums = [0.0] * all_w.size
+    for c, yi in zip(labels_l, y_l):
+        counts[c - 1] += 1
+        sums[c - 1] += yi
+    s2, v0, m0 = cfg.sigma2, cfg.base_var, cfg.base_mean
+    labels = list(labels_l)
+    for i, yi in enumerate(y_l):
+        counts[labels[i] - 1] -= 1
+        sums[labels[i] - 1] -= yi
+        logw = []
+        for k in order[pos[i]:].tolist():
+            prec = 1.0 / v0 + counts[k] / s2
+            mean = (m0 / v0 + sums[k] / s2) / prec
+            var = 1.0 / prec + s2
+            d = yi - mean
+            logw.append(-0.5 * (LOG_2PI + math.log(var) + d * d / var))
+        k = int(order[pos[i] + sample_categorical_logweights(rng, logw)])
+        labels[i] = k + 1
+        counts[k] += 1
+        sums[k] += yi
+    return labels
+
+
 class TestMarginalPredictive:
     def test_empty_component_prior_predictive(self):
-        mean, var = _predictive_params(0, 0.0, CFG)
+        mean, var = _posterior(0, 0.0, _conjugate_prior(CFG), CFG.sigma2)
         assert (mean, var) == (0.0, 2.0)
         density = math.exp(-0.5 * mean ** 2 / var) / math.sqrt(2.0 * math.pi * var)
         assert density == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-12)
         assert density == pytest.approx(0.2821, abs=5e-5)
 
     def test_single_member_predictive(self):
-        mean, var = _predictive_params(1, 2.0, CFG)
+        mean, var = _posterior(1, 2.0, _conjugate_prior(CFG), CFG.sigma2)
         assert mean == pytest.approx(1.0) and var == pytest.approx(1.5)
         density = math.exp(-0.5 * (2.0 - mean) ** 2 / var) \
             / math.sqrt(2.0 * math.pi * var)
         assert density == pytest.approx(0.2334, abs=5e-4)
+
+    def test_predictive_matches_oracle_marginal_off_default(self):
+        # distinct noise and prior variances and a nonzero prior mean, so a
+        # swapped variance or a dropped prior mean changes the value
+        cfg = ModelConfig(sigma2=0.7, base_mean=0.5, base_var=3.0)
+        prior = _conjugate_prior(cfg)
+        members = [1.2, -0.4, 2.0]
+        for k in range(len(members) + 1):
+            y = 0.9 - k
+            mean, var = _posterior(k, sum(members[:k]), prior, cfg.sigma2)
+            d = y - mean
+            expected = cluster_log_marginal(members[:k] + [y], cfg)
+            if k:
+                expected -= cluster_log_marginal(members[:k], cfg)
+            assert -0.5 * (LOG_2PI + math.log(var) + d * d / var) == \
+                pytest.approx(expected, rel=1e-12)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           n=st.integers(min_value=1, max_value=25),
+           sigma2=st.sampled_from([1.0, 0.7, 2.5]),
+           base_mean=st.sampled_from([0.0, 0.5, -3.0]),
+           base_var=st.sampled_from([1.0, 3.0, 0.2]))
+    @settings(max_examples=40, deadline=None)
+    def test_kept_entries_reproduce_recomputed_predictives(
+            self, seed, n, sigma2, base_mean, base_var):
+        # the pass keeps each component's predictive and refreshes two per
+        # observation; the reference works out every candidate's predictive
+        # from scratch, and both must draw the same labels from the same
+        # stream position
+        cfg = ModelConfig(sigma2=sigma2, base_mean=base_mean,
+                          base_var=base_var)
+        gen = np.random.default_rng(seed)
+        y_l = gen.normal(0.0, 3.0, n).tolist()
+        part = relabel_compact(gen.integers(1, 5, n))
+        rng = RngStream(seed=seed)
+        allocated, residual = sample_allocated_weights(rng, part.sizes, 1.0)
+        slices, umin = sample_slices(rng, part, allocated)
+        tail, _, _ = extend_components(rng, residual, umin, 1.0, cfg,
+                                       with_atoms=False)
+        all_w = np.concatenate([allocated, tail])
+        a, b = RngStream(seed=seed, stream=1), RngStream(seed=seed, stream=1)
+        got = _marginal_allocation_pass(a, y_l, part.labels.tolist(), all_w,
+                                        slices, cfg)
+        assert got == _reference_marginal_pass(b, y_l, part.labels.tolist(),
+                                               all_w, slices, cfg)
+        assert a.gen.random() == b.gen.random()
+
+    def test_array_posterior_equals_scalar_posterior(self):
+        prior = _conjugate_prior(ModelConfig(sigma2=0.7, base_mean=0.5,
+                                             base_var=3.0))
+        counts = np.array([0, 1, 4, 17])
+        sums = np.array([0.0, -1.3, 2.9, 40.1])
+        means, variances = _posterior(counts, sums, prior)
+        for h in range(counts.size):
+            assert (means[h], variances[h]) == _posterior(
+                int(counts[h]), float(sums[h]), prior)
 
 
 class TestBlockedGibbs:
