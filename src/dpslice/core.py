@@ -120,19 +120,36 @@ def relabel_compact(raw_labels) -> Partition:
 
 def relabel_compact_with_map(raw_labels) -> tuple[Partition, np.ndarray]:
     """As :func:`relabel_compact`, also returning the original label value of
-    each new block (new block h came from ``origin[h-1]``)."""
+    each new block (new block h came from ``origin[h-1]``).
+
+    Runs in O(n + K) for labels up to K, with no sort: a table indexed by
+    label value records each value's first position, and the positions that
+    are their value's first appearance give the blocks in order. Labels
+    above 2n, which would make that table larger than the data, are
+    numbered through a dict instead.
+    """
     raw = np.asarray(raw_labels, dtype=LABEL_DTYPE)
     if raw.ndim != 1 or raw.size == 0:
         raise ValueError("labels must be a nonempty 1-D vector")
     if raw.min() < 1:
         raise ValueError("labels must be positive integers")
-    uniq, first, inv = np.unique(raw, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(uniq.size, dtype=LABEL_DTYPE)
-    rank[order] = np.arange(1, uniq.size + 1, dtype=LABEL_DTYPE)
-    labels = rank[inv]
-    sizes = np.bincount(labels, minlength=uniq.size + 1)[1:]
-    origin = uniq[order]
+    n = raw.size
+    top = int(raw.max())
+    if top > 2 * n:
+        values = raw.tolist()
+        first = dict.fromkeys(values)  # keys in order of first appearance
+        rank = dict(zip(first, range(1, len(first) + 1)))
+        labels = np.fromiter(map(rank.__getitem__, values), dtype=LABEL_DTYPE,
+                             count=n)
+        origin = np.fromiter(first, dtype=LABEL_DTYPE, count=len(first))
+    else:
+        pos = np.arange(1, n + 1, dtype=LABEL_DTYPE)
+        table = np.full(top + 1, n + 1, dtype=LABEL_DTYPE)
+        np.minimum.at(table, raw, pos)
+        origin = raw[table[raw] == pos]
+        table[origin] = pos[:origin.size]
+        labels = table[raw]
+    sizes = np.bincount(labels, minlength=origin.size + 1)[1:]
     return Partition(labels=labels, sizes=sizes), origin
 
 

@@ -127,20 +127,27 @@ def sample_dirichlet(rng: RngStream, concentration, batch: int | None = None) ->
     return clamp_weights(g)
 
 
-def sample_categorical_logweights(rng: RngStream, logweights) -> int:
+def sample_categorical_logweights(rng: RngStream, logweights):
     """Index draw from unnormalized log weights.
 
     Uses max-shifted exponential normalization; shifted weights below the
     exp underflow point contribute exactly zero mass, and a category with
-    zero mass is never returned. Scalar implementation on purpose: callers
-    pass small per-observation candidate lists and the cost stays
-    proportional to their length.
+    zero mass is never returned.
+
+    A list or 1-D array is one draw, made by a scalar loop whose cost stays
+    proportional to the number of candidates: the slice and sequential
+    passes call it once per observation with a short candidate list. A 2-D
+    array of shape (K, m) holds m draws, the candidates of each down axis 0,
+    and the m draws share one ``gen.random(m)`` call (see
+    :func:`_categorical_columns`).
 
     Returns
     -------
-    int
-        0-based index into ``logweights``.
+    int or ndarray
+        0-based index into ``logweights``; for a (K, m) array, m indices.
     """
+    if type(logweights) is np.ndarray and logweights.ndim == 2:
+        return _categorical_columns(rng, logweights)
     mx = -math.inf
     m = 0
     for w in logweights:
@@ -161,8 +168,45 @@ def sample_categorical_logweights(rng: RngStream, logweights) -> int:
     for k, c in enumerate(cum):
         if c > r:
             return k
+    return _last_with_mass(cum)
+
+
+def _last_with_mass(cum) -> int:
     # r rounded up to total: the last category that adds mass
-    for k in range(m - 1, 0, -1):
+    for k in range(len(cum) - 1, 0, -1):
         if cum[k] > cum[k - 1]:
             return k
     return 0
+
+
+def _categorical_columns(rng: RngStream, logweights: np.ndarray) -> np.ndarray:
+    """One categorical draw per column of a (K, m) array of log weights.
+
+    Each column follows the scalar loop's rules: the shift by its maximum
+    (NaN entries ignored), the cut at LOG_UNDERFLOW, a running sum down the
+    column (``np.add.accumulate`` adds in order, as the loop does), the
+    first entry strictly above u * total, and the last category with mass
+    when u * total rounds up to the total. The uniforms come from one
+    ``gen.random(m)`` call, which yields the numbers m scalar calls would.
+    So a column picks what the scalar loop picks and leaves the stream where
+    m scalar calls leave it, up to ``np.exp`` and ``math.exp`` differing in
+    the last bit, which changes a pick only when the uniform falls within
+    rounding of a cumulative boundary.
+    """
+    k, m = logweights.shape
+    mx = np.fmax.reduce(logweights, axis=0) if k else None
+    if k == 0 or not np.isfinite(mx).all():
+        raise NoValidCategoryError("no category with positive weight")
+    mass = np.subtract(logweights, mx, dtype=float)
+    cut = ~(mass > LOG_UNDERFLOW)
+    np.exp(mass, out=mass)
+    np.copyto(mass, 0.0, where=cut)
+    # each column's maximum adds exp(0) = 1, so every total is at least 1
+    cum = np.add.accumulate(mass, axis=0, out=mass)
+    r = rng.gen.random(m)
+    r *= cum[-1]
+    idx = k - np.add.reduce(cum > r, axis=0)
+    if idx.max(initial=0) == k:
+        for j in np.flatnonzero(idx == k).tolist():
+            idx[j] = _last_with_mass(cum[:, j].tolist())
+    return idx

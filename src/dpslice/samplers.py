@@ -2,8 +2,8 @@
 
 Six samplers share one state type and one trace format. The five
 data-conditional sweeps are kernels behind one driver, which owns the steps
-they share: the timer, relabelling, the alpha update, the reported log
-likelihood and the trace record.
+they share: the timer, relabelling the drawn labels, the alpha update, the
+reported log likelihood and the trace record.
 
 * ``slice_sweep``: posterior slice sampler with exchangeable-component
   weight updates (Dirichlet over occupied weights plus leftover mass) and a
@@ -16,10 +16,12 @@ likelihood and the trace record.
   with instantiated atoms or with atoms integrated out.
 * ``prior_generative_sweep``: the no-data analogue of the slice sweep.
 
-Allocation passes deliberately loop over observations in Python with scalar
-per-component arithmetic: the per-iteration cost is then proportional to the
-number of likelihood evaluations the algorithm actually performs, which is
-what the benchmark harness measures. Block draws (weights, atoms, slice
+Blocked Gibbs scores every observation against all L components, so its
+allocation is vectorized: it scores a block of observations at a time and
+draws the whole block with one call, still n*L candidates per sweep. The
+slice pass and the sequential passes loop over observations in Python with
+scalar per-component arithmetic, so their cost stays proportional to the
+candidates each observation actually has. Block draws (weights, atoms, slice
 variables) are vectorized.
 
 One helper, ``_posterior``, holds the Normal-Normal conjugate update behind
@@ -268,7 +270,7 @@ def truncation_error_bound(n: int, L: int, alpha: float) -> float:
 
 def _next_alpha(rng: RngStream, state: MixtureState, part: Partition,
                 cfg: ModelConfig) -> float:
-    # once per sweep, right after relabeling and before the weight draw
+    # once per sweep, before the kernel's first draw
     if cfg.alpha_fixed is not None:
         return float(cfg.alpha_fixed)
     return update_alpha_escobar_west(rng, state.alpha, part.n,
@@ -387,9 +389,9 @@ def _sweep(kernel, state: MixtureState, data, cfg: ModelConfig,
            rng: RngStream, iteration: int):
     """The steps every data-conditional sweep shares around its kernel.
 
-    Relabels the incoming partition, updates alpha, runs
-    ``kernel(y, partition, alpha)``, relabels what it drew and reports the
-    log likelihood. The kernel returns four values:
+    Updates alpha, runs ``kernel(y, partition, alpha)`` on the incoming
+    partition (canonical, as every ``Partition`` is), relabels what it drew
+    and reports the log likelihood. The kernel returns four values:
 
     * each observation's 1-based component id;
     * the number of components it worked with (the trace's K);
@@ -401,7 +403,7 @@ def _sweep(kernel, state: MixtureState, data, cfg: ModelConfig,
     """
     t0 = time.perf_counter_ns()
     y = np.asarray(data, dtype=float)
-    part = relabel_compact(state.partition.labels)
+    part = state.partition
     alpha = _next_alpha(rng, state, part, cfg)
     raw, k_total, atoms, slice_state = kernel(y, part, alpha)
     newpart, origin = relabel_compact_with_map(raw)
@@ -459,6 +461,17 @@ def slice_sweep_marginal_atoms(state: MixtureState, data, cfg: ModelConfig,
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
+# log weights scored per blocked Gibbs allocation block: at most 2**14
+# observation-component pairs, so each scratch array stays at 128 KB
+BGS_BLOCK_WEIGHTS = 1 << 14
+
+
+def _check_truncation(L) -> None:
+    if isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < 1:
+        raise ValueError("blocked Gibbs requires a truncation level L >= 1, "
+                         f"an integer (got {L!r})")
+
+
 def bgs_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
               L: int, iteration: int = 0):
     """One sweep of the blocked Gibbs sampler truncated at L components.
@@ -466,10 +479,11 @@ def bgs_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
     Weights follow Dirichlet(n_1 + alpha/L, ..., n_L + alpha/L) with zero
     counts for unoccupied components; every observation then picks among all
     L components. Partitions with more than L blocks have zero probability
-    under this chain.
+    under this chain. The allocation scores log pi_k - (y_i - phi_k)^2 /
+    (2 sigma2) for a block of observations at a time, as an (L, block)
+    array, and draws the block with one categorical call.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    _check_truncation(L)
     if state.partition.num_blocks > L:
         raise InconsistentStateError(
             f"state has {state.partition.num_blocks} blocks, truncation is {L}")
@@ -487,14 +501,17 @@ def bgs_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
         mean, var = _posterior(counts, sums, _conjugate_prior(cfg))
         atoms = rng.gen.normal(mean, np.sqrt(var))
 
-        logpi = np.log(w).tolist()
-        atoms_l = atoms.tolist()
+        logpi = np.log(w)[:, None]
+        atoms_col = atoms[:, None]
         inv2s = 0.5 / cfg.sigma2
+        rows = max(1, BGS_BLOCK_WEIGHTS // L)
         raw = np.empty(y.size, dtype=LABEL_DTYPE)
-        for i, yi in enumerate(y.tolist()):
-            logw = [lp - inv2s * (yi - ph) * (yi - ph)
-                    for lp, ph in zip(logpi, atoms_l)]
-            raw[i] = sample_categorical_logweights(rng, logw) + 1
+        for lo in range(0, y.size, rows):
+            d = y[lo:lo + rows] - atoms_col
+            logw = inv2s * d
+            logw *= d
+            np.subtract(logpi, logw, out=logw)
+            raw[lo:lo + rows] = sample_categorical_logweights(rng, logw) + 1
         return raw, L, atoms, None
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
@@ -635,7 +652,7 @@ def prior_generative_sweep(state: MixtureState, n: int, cfg: ModelConfig,
     Dirichlet(n_1, ..., n_H, alpha) conditional instead, which makes the
     chain stationary for the urn partition law.
     """
-    part = relabel_compact(state.partition.labels)
+    part = state.partition
     if part.n != n:
         raise ValueError("state size disagrees with n")
     alpha = float(cfg.alpha_fixed) if cfg.alpha_fixed is not None else state.alpha
@@ -681,8 +698,7 @@ def make_sweep(kind: SamplerKind, L: int | None = None):
     """Bind a sampler kind to a uniform ``fn(state, data, cfg, rng, iteration)``."""
     kind = SamplerKind(kind)
     if kind is SamplerKind.BLOCKED_GIBBS:
-        if L is None or L < 1:
-            raise ValueError("blocked Gibbs requires a truncation level L >= 1")
+        _check_truncation(L)
 
         def fn(state, data, cfg, rng, iteration=0):
             return bgs_sweep(state, data, cfg, rng, L, iteration)
@@ -742,6 +758,7 @@ def run_chain(data, cfg: ModelConfig, rng: RngStream, kind: SamplerKind,
         raise ValueError("need iters >= 1 and burnin >= 0")
     n = y.size
     cfg = cfg.resolved_for(n)
+    sweep = make_sweep(kind, L)
     if snapshot_thin is None:
         snapshot_thin = default_snapshot_thin(n)
     if init_labels is None:
@@ -755,7 +772,6 @@ def run_chain(data, cfg: ModelConfig, rng: RngStream, kind: SamplerKind,
     else:
         alpha0 = cfg.alpha_prior_shape / cfg.alpha_prior_rate
     state = MixtureState(partition=part, alpha=alpha0)
-    sweep = make_sweep(kind, L)
 
     records: list[TraceRecord] = []
     snapshots: list[np.ndarray] = []

@@ -162,6 +162,14 @@ class TestRun:
             in capsys.readouterr().err
         assert not (tmp_path / "bgs_noL" / "trace.csv").exists()
 
+    @pytest.mark.parametrize("L", ["5", True, 2.5])
+    def test_bgs_non_integer_L_is_config_error(self, tmp_path, capsys, L):
+        conf = _run_config(tmp_path, "bgs_badL", sampler={"kind": "bgs", "L": L})
+        assert main(["run", "--config", _write_config(tmp_path, conf)]) == 2
+        assert "error: blocked Gibbs requires a truncation level" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "bgs_badL" / "trace.csv").exists()
+
     def test_dataset_from_file(self, tmp_path):
         gen_cfg = _write_config(tmp_path, {
             "datasets": [{"kind": "three-cluster", "n": 21, "name": "d"}],
@@ -254,6 +262,15 @@ class TestBenchmark:
 
     def test_bgs_cell_without_L_is_config_error(self, tmp_path, capsys):
         cfg = self._bench_conf(tmp_path, "bench3", [{"sampler": "bgs", "n": 20}])
+        assert main(["benchmark", "--config", cfg]) == 2
+        assert "error: blocked Gibbs requires a truncation level" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("L", ["5", True, 2.5])
+    def test_bgs_cell_with_non_integer_L_is_config_error(self, tmp_path, capsys,
+                                                         L):
+        cfg = self._bench_conf(tmp_path, "bench4",
+                               [{"sampler": "bgs", "L": L, "n": 20}])
         assert main(["benchmark", "--config", cfg]) == 2
         assert "error: blocked Gibbs requires a truncation level" \
             in capsys.readouterr().err

@@ -66,6 +66,50 @@ class TestRelabelCompact:
             relabel_compact(raw)
 
 
+def _relabel_by_unique(raw_labels):
+    """Reference canonicalization through ``np.unique``: the blocks in order
+    of each label value's first position."""
+    raw = np.asarray(raw_labels, dtype=np.int64)
+    uniq, first, inv = np.unique(raw, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[order] = np.arange(1, uniq.size + 1)
+    labels = rank[inv]
+    return labels, np.bincount(labels, minlength=uniq.size + 1)[1:], uniq[order]
+
+
+# label values with gaps: a few small ones, or large ones up to 2**62 that
+# are far above 2n
+gappy_label_vectors = st.lists(
+    st.one_of(st.integers(min_value=1, max_value=9),
+              st.integers(min_value=1, max_value=200),
+              st.integers(min_value=1, max_value=2**62)),
+    min_size=1, max_size=60)
+
+
+class TestRelabelAgainstUnique:
+    @given(raw=gappy_label_vectors)
+    @settings(max_examples=300, deadline=None)
+    def test_labels_sizes_and_origin(self, raw):
+        part, origin = relabel_compact_with_map(raw)
+        labels, sizes, expected_origin = _relabel_by_unique(raw)
+        assert np.array_equal(part.labels, labels)
+        assert np.array_equal(part.sizes, sizes)
+        assert np.array_equal(origin, expected_origin)
+        assert part.labels.dtype == origin.dtype == np.int64
+        part.validate()
+
+    @pytest.mark.parametrize("raw", [[3, 1, 3, 2, 1, 5], [13, 2, 13],
+                                     [2**62, 1, 2**62]])
+    def test_dense_and_sparse_values(self, raw):
+        # labels up to 2n index a table; larger ones go through a dict
+        part, origin = relabel_compact_with_map(raw)
+        labels, sizes, expected_origin = _relabel_by_unique(raw)
+        assert part.labels.tolist() == labels.tolist()
+        assert part.sizes.tolist() == sizes.tolist()
+        assert origin.tolist() == expected_origin.tolist()
+
+
 class TestPartitionValidate:
     def test_accepts_canonical(self):
         Partition(labels=np.array([1, 1, 2]), sizes=np.array([2, 1])).validate()

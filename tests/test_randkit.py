@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpslice.randkit import (
+    LOG_UNDERFLOW,
     NoValidCategoryError,
     RngStream,
     WEIGHT_CEIL,
@@ -35,6 +36,44 @@ class _FixedUniform:
 
     def random(self) -> float:
         return self.value
+
+
+class _ListedUniforms:
+    """Stub stream whose generator hands out the given uniforms in order,
+    one per scalar call and m per ``random(m)`` call."""
+
+    def __init__(self, values):
+        self.gen = self
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+def _scalar_columns(rng, logw):
+    """The reference for a batch draw: one scalar call per column."""
+    return [sample_categorical_logweights(rng, col) for col in logw.T.tolist()]
+
+
+def _log_weight_columns(gen, k, m):
+    """A (k, m) array mixing finite entries, -inf, and entries 745 or more
+    below their column's maximum (zero mass), plus entries just above the
+    cut, whose mass is subnormal but positive. Every column keeps at least
+    one finite entry at its maximum."""
+    logw = gen.uniform(-30.0, 30.0, size=(k, m))
+    top = gen.integers(k, size=m)
+    logw[top, np.arange(m)] = 40.0
+    kind = gen.integers(4, size=(k, m))
+    kind[top, np.arange(m)] = 0
+    logw[kind == 1] = -math.inf
+    deep = kind == 2
+    logw[deep] = 40.0 - 745.0 - gen.choice([0.0, 0.05, 1.0, 300.0], deep.sum())
+    shallow = kind == 3
+    logw[shallow] = 40.0 - gen.uniform(700.0, 744.9, shallow.sum())
+    return logw
 
 
 class TestRngStream:
@@ -263,6 +302,71 @@ class TestCategorical:
     def test_returns_valid_index(self, logw, seed):
         idx = sample_categorical_logweights(RngStream(seed=seed), logw)
         assert 0 <= idx < len(logw)
+
+
+class TestCategoricalColumns:
+    """The (K, m) form: one draw per column, the same picks and stream use
+    as m scalar calls."""
+
+    @given(k=st.integers(min_value=1, max_value=40),
+           m=st.integers(min_value=1, max_value=50),
+           seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_calls_and_stream(self, k, m, seed):
+        logw = _log_weight_columns(np.random.default_rng(seed), k, m)
+        a = RngStream(seed=seed, stream=1)
+        b = RngStream(seed=seed, stream=1)
+        idx = sample_categorical_logweights(a, logw)
+        assert idx.shape == (m,)
+        assert idx.tolist() == _scalar_columns(b, logw)
+        assert a.gen.bit_generator.state == b.gen.bit_generator.state
+        # never an entry without mass
+        shift = logw[idx, np.arange(m)] - logw.max(axis=0)
+        assert np.all(shift > LOG_UNDERFLOW)
+
+    @given(k=st.integers(min_value=1, max_value=40),
+           m=st.integers(min_value=1, max_value=50),
+           seed=st.integers(min_value=0, max_value=2**32),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_boundary_uniforms_match_scalar_calls(self, k, m, seed, data):
+        # u = 0 meets r = 0 (a leading zero-mass entry must be skipped);
+        # u = 1 makes u * total round to the total, so the scan finds no
+        # entry above it and the fallback picks the last entry with mass
+        logw = _log_weight_columns(np.random.default_rng(seed), k, m)
+        us = data.draw(st.lists(st.sampled_from([0.0, 1.0, 0.5, 1.0 - 2**-53]),
+                                min_size=m, max_size=m))
+        idx = sample_categorical_logweights(_ListedUniforms(us), logw)
+        assert idx.tolist() == _scalar_columns(_ListedUniforms(us), logw)
+        shift = logw[idx, np.arange(m)] - logw.max(axis=0)
+        assert np.all(shift > LOG_UNDERFLOW)
+
+    def test_fallback_skips_trailing_zero_mass(self):
+        logw = np.array([[0.0, 0.0, 0.0],
+                         [0.0, -800.0, 0.0],
+                         [-800.0, -math.inf, -745.0],
+                         [-math.inf, -math.inf, -math.inf]])
+        idx = sample_categorical_logweights(_ListedUniforms([1.0] * 3), logw)
+        assert idx.tolist() == [1, 0, 1]
+
+    def test_zero_uniform_skips_leading_zero_mass(self):
+        logw = np.array([[-745.0, -math.inf, 0.0],
+                         [0.0, -800.0, 0.0]])
+        idx = sample_categorical_logweights(_ListedUniforms([0.0] * 3), logw)
+        assert idx.tolist() == [1, 1, 0]
+
+    def test_all_minus_inf_column_raises(self):
+        logw = np.array([[0.0, -math.inf], [-1.0, -math.inf]])
+        with pytest.raises(NoValidCategoryError):
+            sample_categorical_logweights(RngStream(seed=0), logw)
+
+    def test_no_candidates_raises(self):
+        with pytest.raises(NoValidCategoryError):
+            sample_categorical_logweights(RngStream(seed=0), np.empty((0, 3)))
+
+    def test_one_dimensional_array_is_one_draw(self):
+        idx = sample_categorical_logweights(RngStream(seed=5), np.zeros(3))
+        assert isinstance(idx, int)
 
 
 class TestNormal:

@@ -724,6 +724,42 @@ class TestBlockedGibbs:
             bgs_sweep(state, np.zeros(1), ModelConfig(alpha_fixed=1.0),
                       RngStream(seed=0), L=0)
 
+    @pytest.mark.parametrize("L", ["5", True, 2.5, None])
+    def test_non_integer_l(self, L):
+        state = MixtureState(partition=relabel_compact([1]), alpha=1.0)
+        with pytest.raises(ValueError):
+            bgs_sweep(state, np.zeros(1), ModelConfig(alpha_fixed=1.0),
+                      RngStream(seed=0), L=L)
+
+    @pytest.mark.parametrize("L,block", [(3, 7), (5, 5), (4, 1 << 14), (40, 7)])
+    def test_block_draws_match_per_observation_calls(self, monkeypatch, L,
+                                                     block):
+        # blocks of BGS_BLOCK_WEIGHTS // L observations (at least one), the
+        # last one short; the chain must be the one that one scalar draw per
+        # observation gives
+        import dpslice.samplers as samplers
+
+        y = np.random.default_rng(8).normal(size=23) * 3.0
+
+        def chain():
+            res = run_chain(y, ModelConfig(), RngStream(seed=173),
+                            SamplerKind.BLOCKED_GIBBS, iters=40, burnin=0, L=L)
+            return ([(r.k_total, r.num_clusters, r.loglik, r.alpha)
+                     for r in res.records], res.snapshots)
+
+        def per_observation(rng, logw):
+            assert logw.shape[0] == L and logw.shape[1] <= max(1, block // L)
+            return np.array([sample_categorical_logweights(rng, col)
+                             for col in logw.T.tolist()])
+
+        monkeypatch.setattr(samplers, "BGS_BLOCK_WEIGHTS", block)
+        records, snapshots = chain()
+        monkeypatch.setattr(samplers, "sample_categorical_logweights",
+                            per_observation)
+        ref_records, ref_snapshots = chain()
+        assert records == ref_records
+        assert all(np.array_equal(a, b) for a, b in zip(snapshots, ref_snapshots))
+
     def test_finite_dirichlet_partition_law(self):
         # with L=3 and n=5 the exact chain target is the symmetric
         # Dirichlet(alpha/L) mixture law; enumerate it directly
@@ -885,6 +921,17 @@ class TestMakeSweep:
         with pytest.raises(ValueError):
             make_sweep(SamplerKind.BLOCKED_GIBBS)
 
+    @pytest.mark.parametrize("L", ["5", True, 2.5, 0, -1])
+    def test_bgs_l_must_be_a_positive_integer(self, L):
+        with pytest.raises(ValueError, match="truncation level"):
+            make_sweep(SamplerKind.BLOCKED_GIBBS, L)
+        with pytest.raises(ValueError, match="truncation level"):
+            run_chain(TestRunChain.Y, ModelConfig(), RngStream(seed=0),
+                      SamplerKind.BLOCKED_GIBBS, iters=2, burnin=0, L=L)
+
+    def test_bgs_accepts_numpy_integer_l(self):
+        assert callable(make_sweep(SamplerKind.BLOCKED_GIBBS, np.int64(3)))
+
     def test_l_rejected_elsewhere(self):
         with pytest.raises(ValueError):
             make_sweep(SamplerKind.SLICE, L=5)
@@ -946,6 +993,24 @@ class TestRunChain:
         res = run_chain(self.Y, ModelConfig(), RngStream(seed=204),
                         SamplerKind.BLOCKED_GIBBS, iters=10, burnin=0, L=2)
         assert all(r.k_total == 2 for r in res.records)
+
+    @pytest.mark.parametrize("kind,L", [(SamplerKind.SLICE, None),
+                                        (SamplerKind.SLICE_MARGINAL, None),
+                                        (SamplerKind.BLOCKED_GIBBS, 4),
+                                        (SamplerKind.CRP_ATOMS, None),
+                                        (SamplerKind.CRP_COLLAPSED, None)])
+    def test_non_canonical_start_gives_the_canonical_chain(self, kind, L):
+        # sweeps take the state's partition as canonical; run_chain makes
+        # the start so
+        raw = np.array([9, 9, 4, 70, 4, 9, 2, 70])
+        a = run_chain(self.Y, ModelConfig(), RngStream(seed=208), kind,
+                      iters=20, burnin=0, init_labels=raw, L=L)
+        b = run_chain(self.Y, ModelConfig(), RngStream(seed=208), kind,
+                      iters=20, burnin=0, init_labels=relabel_compact(raw).labels,
+                      L=L)
+        assert [(r.k_total, r.num_clusters, r.loglik, r.alpha) for r in a.records] \
+            == [(r.k_total, r.num_clusters, r.loglik, r.alpha) for r in b.records]
+        assert all(np.array_equal(x, y) for x, y in zip(a.snapshots, b.snapshots))
 
     def test_custom_init_labels(self):
         res = run_chain(self.Y, ModelConfig(), RngStream(seed=205),
