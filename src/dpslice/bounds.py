@@ -18,7 +18,7 @@ with their Monte Carlo error bars rather than raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import chi2 as _chi2
@@ -35,22 +35,26 @@ LN2 = math.log(2.0)
 CHUNK_ELEMENTS = 1 << 16
 
 
+class _Report:
+    """Base of the report dataclasses: their fields as a JSON-ready dict,
+    nested reports included."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
 
 @dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(_Report):
     alpha: float
     delta: float
     b1: float
     b2: float
     c_delta: float
     d_alpha: float
-
-    def to_dict(self) -> dict:
-        return {k: float(getattr(self, k))
-                for k in ("alpha", "delta", "b1", "b2", "c_delta", "d_alpha")}
 
 
 def overhead_bound_constants(alpha: float, delta: float) -> BoundConstants:
@@ -70,7 +74,7 @@ def overhead_bound_constants(alpha: float, delta: float) -> BoundConstants:
                          + LN2) / LN2
     c_delta = b1 + b2 * math.log(1.0 / delta)
     d_alpha = b1 / LN2 + b2
-    return BoundConstants(alpha=alpha, delta=delta, b1=b1, b2=b2,
+    return BoundConstants(alpha=float(alpha), delta=float(delta), b1=b1, b2=b2,
                           c_delta=c_delta, d_alpha=d_alpha)
 
 
@@ -138,17 +142,15 @@ def _partition_from_sizes(sizes: np.ndarray) -> Partition:
     return Partition(labels=labels, sizes=sizes.copy())
 
 
+@dataclass(frozen=True)
 class OverheadSamples:
     """Monte Carlo draws of the overhead K - H and of u_min for one
     (n, partition, alpha) configuration."""
-
-    def __init__(self, spec: str, n: int, alpha: float,
-                 k_minus_h: np.ndarray, umin: np.ndarray):
-        self.spec = spec
-        self.n = n
-        self.alpha = alpha
-        self.k_minus_h = k_minus_h
-        self.umin = umin
+    spec: str
+    n: int
+    alpha: float
+    k_minus_h: np.ndarray
+    umin: np.ndarray
 
     def __len__(self) -> int:
         return int(self.k_minus_h.size)
@@ -202,7 +204,7 @@ def simulate_overhead(rng: RngStream, n: int, spec, alpha: float,
 
 
 @dataclass(frozen=True)
-class OverheadBoundReport:
+class OverheadBoundReport(_Report):
     n: int
     alpha: float
     delta: float
@@ -212,12 +214,6 @@ class OverheadBoundReport:
     limit: float
     replicates: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "alpha": self.alpha, "delta": self.delta,
-                "spec": self.spec, "threshold": self.threshold,
-                "exceedance": self.exceedance, "limit": self.limit,
-                "replicates": self.replicates, "passed": self.passed}
 
 
 def check_overhead_bound(samples: OverheadSamples,
@@ -236,7 +232,7 @@ def check_overhead_bound(samples: OverheadSamples,
 
 
 @dataclass(frozen=True)
-class TailCheckReport:
+class TailCheckReport(_Report):
     n: int
     alpha: float
     spec: str
@@ -247,13 +243,6 @@ class TailCheckReport:
     mean_limit: float
     replicates: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "alpha": self.alpha, "spec": self.spec,
-                "t_grid": list(self.t_grid), "tails": list(self.tails),
-                "limits": list(self.limits), "mean_ratio": self.mean_ratio,
-                "mean_limit": self.mean_limit, "replicates": self.replicates,
-                "passed": self.passed}
 
 
 def check_exponential_tail(samples: OverheadSamples, constants: BoundConstants,
@@ -310,7 +299,7 @@ class MergeStep:
 
 
 @dataclass(frozen=True)
-class MergeReport:
+class MergeReport(_Report):
     sizes: tuple
     merged_sizes: tuple
     alpha: float
@@ -318,14 +307,6 @@ class MergeReport:
     steps: tuple
     replicates: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"sizes": list(self.sizes), "merged_sizes": list(self.merged_sizes),
-                "alpha": self.alpha, "x_grid": list(self.x_grid),
-                "steps": [{"x": s.x, "p_unmerged": s.p_unmerged,
-                           "p_merged": s.p_merged, "pooled_se": s.pooled_se,
-                           "passed": s.passed} for s in self.steps],
-                "replicates": self.replicates, "passed": self.passed}
 
 
 def check_merge_monotonicity(rng: RngStream, sizes, r: int, s: int, x_grid,
@@ -361,7 +342,7 @@ def check_merge_monotonicity(rng: RngStream, sizes, r: int, s: int, x_grid,
 
 
 @dataclass(frozen=True)
-class PoissonCheckReport:
+class PoissonCheckReport(_Report):
     x: float
     alpha: float
     rate: float
@@ -372,13 +353,6 @@ class PoissonCheckReport:
     significance: float
     replicates: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"x": self.x, "alpha": self.alpha, "rate": self.rate,
-                "sample_mean": self.sample_mean, "chi2_stat": self.chi2_stat,
-                "dof": self.dof, "p_value": self.p_value,
-                "significance": self.significance,
-                "replicates": self.replicates, "passed": self.passed}
 
 
 def check_poisson_stick_law(rng: RngStream, x: float, alpha: float,

@@ -34,6 +34,7 @@ from .bounds import (
 from .core import ModelConfig, TraceRecord, rand_index, relabel_compact
 from .datagen import Dataset, kmeans_init, load_dataset, make_dataset, save_dataset
 from .diagnostics import (
+    MIN_TRACE_LENGTH,
     CoClusteringMatrix,
     accumulate_coclustering,
     binder_point_estimate,
@@ -165,6 +166,14 @@ def _snapshots_to_csv(path: Path, iters, snapshots) -> None:
             fh.write(f"{it},\"{','.join(str(int(v)) for v in lab)}\"\n")
 
 
+def _check_iters(iters, name: str) -> None:
+    """Fail before any chain runs when the recorded sweeps are too few for
+    the effective sample size that ``run`` and ``benchmark`` report."""
+    if iters < MIN_TRACE_LENGTH:
+        raise ValueError(f"{name} must be >= {MIN_TRACE_LENGTH} for the "
+                         f"effective sample size, got {iters}")
+
+
 def _ess_block(records) -> dict:
     window = records[-min(ESS_WINDOW, len(records)):]
     seconds = sum(r.elapsed_ns for r in window) / 1e9
@@ -211,6 +220,7 @@ def _chain_start(y, kind: SamplerKind, L, rng: RngStream, k: int):
 
 def cmd_run(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
+    _check_iters(conf["iters"], "iters")
     out = _outdir(conf)
     seed = conf["seed"]
     ds = _dataset_from_conf(conf, seed, stream=0)
@@ -361,6 +371,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                                                    conf.get("time_budget_s", 1.0)))
         cell["seed"] = conf["seed"]
         cell["index"] = idx
+        _check_iters(cell["iters"], f"benchmark cell {idx} iters")
         cells.append(cell)
     rows = _map_cells(_benchmark_cell, cells, conf["threads"])
     path = out / "benchmark.csv"
@@ -412,6 +423,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tails_at = vconf.get("tails_at", [[1_000, 1.0]])
     checks = vconf.get("checks", ["overhead", "tails", "merge", "poisson"])
     seed = conf["seed"]
+    if any(n < 2 for n in ns):
+        raise ValueError(f"verify.ns must all be >= 2, since the bounds scale "
+                         f"with log n; got {ns}")
 
     cells = []
     idx = 0

@@ -9,6 +9,10 @@ import numpy as np
 from .core import relabel_compact
 
 
+# the shortest trace ``ess`` accepts
+MIN_TRACE_LENGTH = 10
+
+
 @dataclass(frozen=True)
 class EssResult:
     """Effective sample size plus a flag for degenerate (constant) traces."""
@@ -25,8 +29,8 @@ def ess(trace) -> EssResult:
     The estimate is clamped to (0, length].
     """
     x = np.asarray(trace, dtype=float)
-    if x.ndim != 1 or x.size < 10:
-        raise ValueError("trace must be 1-D with length >= 10")
+    if x.ndim != 1 or x.size < MIN_TRACE_LENGTH:
+        raise ValueError(f"trace must be 1-D with length >= {MIN_TRACE_LENGTH}")
     n = x.size
     xc = x - x.mean()
     # biased FFT autocovariances, zero-padded to the next power of two >= 2n

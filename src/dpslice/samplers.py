@@ -1,9 +1,11 @@
 """Markov chain sweeps for Dirichlet process mixtures of Normals.
 
-Six samplers share one state type and one trace format. The five
-data-conditional sweeps are kernels behind one driver, which owns the steps
-they share: the timer, relabelling the drawn labels, the alpha update, the
-reported log likelihood and the trace record.
+Five data-conditional samplers, one per ``SamplerKind``, share one state
+type and one trace format. Their sweeps are kernels behind one driver, which
+owns the steps they share: the timer, relabelling the drawn labels, the
+alpha update, the reported log likelihood and the trace record. A sixth
+sweep, ``prior_generative_sweep``, takes no data and is no ``SamplerKind``:
+it is called directly, not through ``make_sweep`` or ``run_chain``.
 
 * ``slice_sweep``: posterior slice sampler with exchangeable-component
   weight updates (Dirichlet over occupied weights plus leftover mass) and a
@@ -14,7 +16,8 @@ reported log likelihood and the trace record.
   at L components.
 * ``crp_sweep_atoms`` / ``crp_sweep_collapsed``: sequential urn samplers,
   with instantiated atoms or with atoms integrated out.
-* ``prior_generative_sweep``: the no-data analogue of the slice sweep.
+* ``prior_generative_sweep``: the no-data analogue of the slice sweep,
+  with the occupied weights drawn from their Dirichlet conditional.
 
 Blocked Gibbs scores every observation against all L components, so its
 allocation is vectorized: it scores a block of observations at a time and
@@ -32,7 +35,10 @@ observation leaves and the one it joins.
 The weight and slice draws also take a leading replicate axis, and the stick
 extension takes vectors of residuals and slice minima, so the
 cost-verification harness in ``bounds`` runs many replicates through the
-same functions a sweep calls with one.
+same functions a sweep calls with one. The weight and slice draws run the
+same code either way; the stick extension runs a masked loop over the
+replicates, which with one replicate consumes the stream exactly as the
+sweep's scalar loop does.
 """
 from __future__ import annotations
 
@@ -74,7 +80,6 @@ class SamplerKind(str, Enum):
     BLOCKED_GIBBS = "bgs"
     CRP_ATOMS = "crp-atoms"
     CRP_COLLAPSED = "crp-collapsed"
-    PRIOR_GENERATIVE = "prior"
 
 
 # ---------------------------------------------------------------------------
@@ -640,38 +645,24 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
 
 
 def prior_generative_sweep(state: MixtureState, n: int, cfg: ModelConfig,
-                           rng: RngStream, exact_weights: bool = False) -> MixtureState:
+                           rng: RngStream) -> MixtureState:
     """One no-data sweep of the slice mechanism.
 
-    With ``exact_weights=False`` (default) the occupied components receive
-    fresh prior sticks Beta(1, alpha), exactly as in the printed generative
-    recipe. That choice is NOT the conditional law of the weights given the
-    partition, and the resulting partition chain provably overweights
-    fragmented partitions relative to the exchangeable urn law. Pass
-    ``exact_weights=True`` to draw the occupied weights from their
-    Dirichlet(n_1, ..., n_H, alpha) conditional instead, which makes the
-    chain stationary for the urn partition law.
+    The occupied weights come from their conditional given the partition,
+    Dirichlet(n_1, ..., n_H, alpha), and the atoms from the base measure;
+    each observation then picks uniformly among the components above its
+    slice. The partition chain is stationary for the urn partition law.
+    (The printed generative recipe instead gives the occupied components
+    fresh Beta(1, alpha) sticks, which is not that conditional and
+    overweights fragmented partitions.)
     """
     part = state.partition
     if part.n != n:
         raise ValueError("state size disagrees with n")
     alpha = float(cfg.alpha_fixed) if cfg.alpha_fixed is not None else state.alpha
-    h = part.num_blocks
-    if exact_weights:
-        allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
-        atoms_occ = rng.gen.normal(cfg.base_mean, math.sqrt(cfg.base_var), h)
-    else:
-        residual = 1.0
-        alloc_list = []
-        atoms_list = []
-        for _ in range(h):
-            atoms_list.append(sample_normal(rng, cfg.base_mean, cfg.base_var))
-            v = sample_beta(rng, 1.0, alpha)
-            w = v * residual
-            alloc_list.append(w)
-            residual -= w
-        allocated = np.asarray(alloc_list, dtype=float)
-        atoms_occ = np.asarray(atoms_list, dtype=float)
+    allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
+    atoms_occ = rng.gen.normal(cfg.base_mean, math.sqrt(cfg.base_var),
+                               part.num_blocks)
     slices, umin = sample_slices(rng, part, allocated)
     tail_w, tail_atoms, resid_end = extend_components(rng, residual, umin,
                                                       alpha, cfg)
@@ -705,15 +696,12 @@ def make_sweep(kind: SamplerKind, L: int | None = None):
         return fn
     if L is not None:
         raise ValueError(f"L only applies to blocked Gibbs, not {kind.value}")
-    table = {
+    return {
         SamplerKind.SLICE: slice_sweep,
         SamplerKind.SLICE_MARGINAL: slice_sweep_marginal_atoms,
         SamplerKind.CRP_ATOMS: crp_sweep_atoms,
         SamplerKind.CRP_COLLAPSED: crp_sweep_collapsed,
-    }
-    if kind not in table:
-        raise ValueError(f"{kind.value} has no data-conditional sweep")
-    return table[kind]
+    }[kind]
 
 
 @dataclass
@@ -723,10 +711,6 @@ class ChainResult:
     snapshot_iters: list[int]
     final_state: MixtureState
     infeasible: bool
-    kind: SamplerKind
-    L: int | None
-    burnin: int
-    iters: int
 
 
 # the time budget covers this many first sweeps of a chain
@@ -739,7 +723,7 @@ def default_snapshot_thin(n: int) -> int:
 
 def run_chain(data, cfg: ModelConfig, rng: RngStream, kind: SamplerKind,
               iters: int, burnin: int, init_labels=None, L: int | None = None,
-              snapshot_thin: int | None = None, collect_snapshots: bool = True,
+              snapshot_thin: int | None = None,
               time_budget_s: float = 1.0) -> ChainResult:
     """Drive a sampler for burnin + iters sweeps.
 
@@ -749,8 +733,6 @@ def run_chain(data, cfg: ModelConfig, rng: RngStream, kind: SamplerKind,
     ``snapshot_thin`` sweeps.
     """
     kind = SamplerKind(kind)
-    if kind is SamplerKind.PRIOR_GENERATIVE:
-        raise ValueError("the generative sweep takes no data; drive it directly")
     y = np.asarray(data, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("data must be a nonempty 1-D vector")
@@ -788,10 +770,9 @@ def run_chain(data, cfg: ModelConfig, rng: RngStream, kind: SamplerKind,
             if spent_ns > budget_ns:
                 infeasible = True
                 break
-        if collect_snapshots and t > burnin and (t - burnin) % snapshot_thin == 0:
+        if t > burnin and (t - burnin) % snapshot_thin == 0:
             snapshots.append(state.partition.labels.copy())
             snapshot_iters.append(t)
     return ChainResult(records=records, snapshots=snapshots,
                        snapshot_iters=snapshot_iters, final_state=state,
-                       infeasible=infeasible, kind=kind, L=L,
-                       burnin=burnin, iters=iters)
+                       infeasible=infeasible)

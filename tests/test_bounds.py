@@ -2,6 +2,7 @@
 and slice-level simulators against each other, and the statistical checks
 (high-probability bound, exponential tails, merge monotonicity, Poisson
 stick law) on reduced replicate counts."""
+import json
 import math
 
 import numpy as np
@@ -64,6 +65,9 @@ class TestBoundConstants:
         d = c.to_dict()
         assert d["alpha"] == 2.0 and d["delta"] == 0.2
         assert d["b1"] == c.b1 and d["c_delta"] == c.c_delta
+        # an integer alpha serializes as a float, as the other constants do
+        d = overhead_bound_constants(2, 0.2).to_dict()
+        assert json.dumps(d["alpha"]) == "2.0"
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -216,6 +216,12 @@ class TestRun:
         assert summary["infeasibility"]["completed_iters"] >= 1
         assert not (out / "partitions.csv").exists()
 
+    def test_too_few_iters_is_config_error(self, tmp_path, capsys):
+        conf = _run_config(tmp_path, "short", iters=5, burnin=2)
+        assert main(["run", "--config", _write_config(tmp_path, conf)]) == 2
+        assert "error: iters must be >= 10" in capsys.readouterr().err
+        assert not (tmp_path / "short" / "trace.csv").exists()
+
     def test_coclustering_export_can_be_disabled(self, tmp_path):
         conf = _run_config(tmp_path, "nococl", write_coclustering=False)
         cfg = _write_config(tmp_path, conf)
@@ -274,6 +280,23 @@ class TestBenchmark:
         assert main(["benchmark", "--config", cfg]) == 2
         assert "error: blocked Gibbs requires a truncation level" \
             in capsys.readouterr().err
+
+    def test_cell_with_too_few_iters_is_config_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import dpslice.cli as cli
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran before the config was checked")
+
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        grid = [{"sampler": "slice", "n": 20},
+                {"sampler": "slice", "n": 20, "iters": 5}]
+        cfg = self._bench_conf(tmp_path, "bench5", grid)
+        assert main(["benchmark", "--config", cfg]) == 2
+        assert "error: benchmark cell 1 iters must be >= 10" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "bench5" / "trace.csv").exists()
+        assert not (tmp_path / "bench5" / "benchmark.csv").exists()
 
     def test_thread_count_does_not_change_results(self, tmp_path):
         grid = [{"sampler": "slice", "n": 24}, {"sampler": "crp-atoms", "n": 24}]
@@ -338,6 +361,17 @@ class TestVerify:
         tails = report["cells"][0]["tails"]
         assert tails["passed"] is True
         assert len(tails["tails"]) == 4
+
+
+    def test_n_below_two_is_config_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {
+            "verify": {"alphas": [1.0], "ns": [1, 50], "deltas": [0.1],
+                       "replicates": 1000, "checks": ["overhead", "tails"]},
+            "out": str(tmp_path / "ver4"),
+        })
+        assert main(["verify", "--config", cfg]) == 2
+        assert "error: verify.ns must all be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "ver4" / "verify.json").exists()
 
 
 class TestOracle:
