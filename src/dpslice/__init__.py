@@ -44,7 +44,6 @@ from .oracle import (
 )
 from .diagnostics import (
     BinderResult,
-    CoClusteringMatrix,
     EssResult,
     accumulate_coclustering,
     binder_loss,

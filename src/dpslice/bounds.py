@@ -21,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
+from scipy.special import chdtrc
 
 from .core import LABEL_DTYPE, ModelConfig, Partition
 from .randkit import RngStream
@@ -33,6 +33,11 @@ LN2 = math.log(2.0)
 # 512 KiB. On the verify job, 2^18 added 7 MB of peak memory and 2^15 ran
 # a few percent slower.
 CHUNK_ELEMENTS = 1 << 16
+
+# the t values of the exponential tail check
+TAIL_T_GRID = (0.5, 1.0, 2.0, 3.0)
+# the Poisson goodness-of-fit check fails below this p-value
+POISSON_SIGNIFICANCE = 0.01
 
 
 class _Report:
@@ -172,7 +177,7 @@ def _fill_slice_minima(rng: RngStream, part: Partition, alpha: float,
 
 
 def simulate_overhead(rng: RngStream, n: int, spec, alpha: float,
-                      replicates: int, cfg: ModelConfig | None = None) -> OverheadSamples:
+                      replicates: int) -> OverheadSamples:
     """Draw the overhead distribution conditionally on a fixed partition.
 
     Runs the sampler's own conditional steps with a replicate axis: occupied
@@ -185,16 +190,13 @@ def simulate_overhead(rng: RngStream, n: int, spec, alpha: float,
         raise ValueError("replicates must be >= 1")
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    if cfg is None:
-        cfg = ModelConfig()
     sizes = resolve_partition_sizes(spec, n)
     part = _partition_from_sizes(sizes)
     spec_name = spec if isinstance(spec, str) else "custom"
     residual = np.empty(replicates)
     umins = np.empty(replicates)
     _fill_slice_minima(rng, part, alpha, umins, residual)
-    k_minus_h, _, _ = extend_components(rng, residual, umins, alpha, cfg,
-                                        with_atoms=False)
+    k_minus_h, _ = extend_components(rng, residual, umins, alpha, ModelConfig())
     return OverheadSamples(spec=spec_name, n=n, alpha=alpha,
                            k_minus_h=k_minus_h, umin=umins)
 
@@ -245,18 +247,19 @@ class TailCheckReport(_Report):
     passed: bool
 
 
-def check_exponential_tail(samples: OverheadSamples, constants: BoundConstants,
-                           t_grid=(0.5, 1.0, 2.0, 3.0)) -> TailCheckReport:
-    """For each t: empirical P((K-H)/log n > b1 + b2 t) <= e^-t plus three
-    binomial standard errors; and mean (K-H)/log n <= b1 + b2 (the first
-    moment bound). Valid for replicate counts of 10^4 and up."""
+def check_exponential_tail(samples: OverheadSamples,
+                           constants: BoundConstants) -> TailCheckReport:
+    """For each t of TAIL_T_GRID: empirical P((K-H)/log n > b1 + b2 t) <=
+    e^-t plus three binomial standard errors; and mean (K-H)/log n <= b1 +
+    b2 (the first moment bound). Valid for replicate counts of 10^4 and
+    up."""
     m = len(samples)
     logn = math.log(samples.n)
     ratio = samples.k_minus_h / logn
     tails = []
     limits = []
     ok = True
-    for t in t_grid:
+    for t in TAIL_T_GRID:
         thr = constants.b1 + constants.b2 * t
         tail = float(np.mean(ratio > thr))
         target = math.exp(-t)
@@ -268,7 +271,7 @@ def check_exponential_tail(samples: OverheadSamples, constants: BoundConstants,
     mean_limit = constants.b1 + constants.b2
     ok = ok and mean_ratio <= mean_limit
     return TailCheckReport(n=samples.n, alpha=samples.alpha, spec=samples.spec,
-                           t_grid=tuple(t_grid), tails=tuple(tails),
+                           t_grid=TAIL_T_GRID, tails=tuple(tails),
                            limits=tuple(limits), mean_ratio=mean_ratio,
                            mean_limit=mean_limit, replicates=m, passed=ok)
 
@@ -356,23 +359,20 @@ class PoissonCheckReport(_Report):
 
 
 def check_poisson_stick_law(rng: RngStream, x: float, alpha: float,
-                            replicates: int, cfg: ModelConfig | None = None,
-                            significance: float = 0.01) -> PoissonCheckReport:
+                            replicates: int) -> PoissonCheckReport:
     """The pure stick count at residual 1 and threshold x, minus one, is
     Poisson(alpha log(1/x)): chi-square goodness of fit with bins merged
-    from the right until every expected count reaches 5. Valid for
-    replicate counts of 10^5 and up."""
+    from the right until every expected count reaches 5, failing at a
+    p-value under POISSON_SIGNIFICANCE. Valid for replicate counts of 10^5
+    and up."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0, 1), got {x}")
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
-    if cfg is None:
-        cfg = ModelConfig()
-    counts, _, _ = extend_components(rng, np.ones(replicates),
-                                     np.full(replicates, x), alpha, cfg,
-                                     with_atoms=False)
+    counts, _ = extend_components(rng, np.ones(replicates),
+                                  np.full(replicates, x), alpha, ModelConfig())
     shifted = counts - 1
     rate = alpha * math.log(1.0 / x)
     sample_mean = float(shifted.mean())
@@ -397,10 +397,10 @@ def check_poisson_stick_law(rng: RngStream, x: float, alpha: float,
     exp_arr = np.asarray(exp_b)
     stat = float((((obs_arr - exp_arr) ** 2) / exp_arr).sum())
     dof = max(1, obs_arr.size - 1)
-    p_value = float(_chi2.sf(stat, dof))
+    p_value = float(chdtrc(dof, stat))
     return PoissonCheckReport(x=x, alpha=alpha, rate=rate,
                               sample_mean=sample_mean, chi2_stat=stat,
                               dof=dof, p_value=p_value,
-                              significance=significance,
+                              significance=POISSON_SIGNIFICANCE,
                               replicates=replicates,
-                              passed=p_value >= significance)
+                              passed=p_value >= POISSON_SIGNIFICANCE)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -35,7 +36,6 @@ from .core import ModelConfig, TraceRecord, rand_index, relabel_compact
 from .datagen import Dataset, kmeans_init, load_dataset, make_dataset, save_dataset
 from .diagnostics import (
     MIN_TRACE_LENGTH,
-    CoClusteringMatrix,
     accumulate_coclustering,
     binder_point_estimate,
     binder_point_estimate_sparse,
@@ -52,6 +52,8 @@ PRESETS = {
     "desk": {"iters": 1_000, "burnin": 1_000},
 }
 ESS_WINDOW = 5_000
+# clusters of the k-means start of every `run` and `benchmark` chain
+INIT_K = 5
 # matrix-based Binder search and co-clustering export are quadratic in n;
 # beyond this size the contingency-based search takes over
 MATRIX_N_LIMIT = 1_000
@@ -61,6 +63,7 @@ BENCHMARK_COLUMNS = ["sampler", "n", "L", "seed", "median_sweep_ns",
                      "infeasible"]
 VERIFY_COLUMNS = ["n", "alpha", "delta", "spec", "exceedance", "threshold",
                   "pass"]
+VERIFY_CHECKS = ("overhead", "tails", "merge", "poisson")
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +169,18 @@ def _snapshots_to_csv(path: Path, iters, snapshots) -> None:
             fh.write(f"{it},\"{','.join(str(int(v)) for v in lab)}\"\n")
 
 
-def _check_iters(iters, name: str) -> None:
-    """Fail before any chain runs when the recorded sweeps are too few for
-    the effective sample size that ``run`` and ``benchmark`` report."""
-    if iters < MIN_TRACE_LENGTH:
-        raise ValueError(f"{name} must be >= {MIN_TRACE_LENGTH} for the "
-                         f"effective sample size, got {iters}")
+def _check_sweeps(conf: dict, where: str = "") -> None:
+    """Fail before any chain runs unless ``iters`` and ``burnin`` are
+    integers, burnin >= 0 and iters >= MIN_TRACE_LENGTH, the shortest trace
+    for the effective sample size that ``run`` and ``benchmark`` report."""
+    for key, low, why in (("iters", MIN_TRACE_LENGTH,
+                           " for the effective sample size"),
+                          ("burnin", 0, "")):
+        value = conf[key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{where}{key} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{where}{key} must be >= {low}{why}, got {value}")
 
 
 def _ess_block(records) -> dict:
@@ -196,15 +205,17 @@ def _ess_block(records) -> dict:
 
 
 def _binder_from_snapshots(snapshots, n: int):
+    """The Binder estimate, and the co-clustering probabilities when n is
+    small enough for the matrix route (else None)."""
     if n <= MATRIX_N_LIMIT:
-        matrix = accumulate_coclustering(CoClusteringMatrix(n), snapshots)
-        return binder_point_estimate(snapshots, matrix), matrix
+        counts = accumulate_coclustering(snapshots)
+        return binder_point_estimate(snapshots, counts), counts / len(snapshots)
     return binder_point_estimate_sparse(snapshots), None
 
 
-def _chain_start(y, kind: SamplerKind, L, rng: RngStream, k: int):
+def _chain_start(y, kind: SamplerKind, L, rng: RngStream):
     """Truncation level (``"n"``: one component per observation) and the
-    k-means start with min(k, n) clusters; blocked Gibbs falls back to
+    k-means start with min(INIT_K, n) clusters; blocked Gibbs falls back to
     round-robin labels when that start has more than L blocks. A sampler
     and truncation level the chain would reject fail here, before k-means
     runs."""
@@ -212,7 +223,7 @@ def _chain_start(y, kind: SamplerKind, L, rng: RngStream, k: int):
     if L == "n":
         L = n
     make_sweep(kind, L)
-    init = kmeans_init(y, rng, k=min(k, n))
+    init = kmeans_init(y, rng, k=min(INIT_K, n))
     if kind is SamplerKind.BLOCKED_GIBBS and init.num_blocks > L:
         init = relabel_compact((np.arange(n) % L) + 1)
     return L, init.labels
@@ -220,7 +231,7 @@ def _chain_start(y, kind: SamplerKind, L, rng: RngStream, k: int):
 
 def cmd_run(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
-    _check_iters(conf["iters"], "iters")
+    _check_sweeps(conf)
     out = _outdir(conf)
     seed = conf["seed"]
     ds = _dataset_from_conf(conf, seed, stream=0)
@@ -233,8 +244,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                          "with 'kind' and optional 'L'")
     kind = SamplerKind(sconf.get("kind", "slice"))
     L, init = _chain_start(ds.y, kind, sconf.get("L"),
-                           RngStream(seed=seed, stream=1),
-                           int(conf.get("init_k", 5)))
+                           RngStream(seed=seed, stream=1))
     result = run_chain(ds.y, mcfg, RngStream(seed=seed, stream=2), kind,
                        iters=conf["iters"], burnin=conf["burnin"],
                        init_labels=init, L=L,
@@ -266,11 +276,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     _snapshots_to_csv(out / "partitions.csv", result.snapshot_iters,
                       result.snapshots)
-    binder, matrix = _binder_from_snapshots(result.snapshots, ds.n)
+    binder, probabilities = _binder_from_snapshots(result.snapshots, ds.n)
     with open(out / "binder.csv", "w", newline="") as fh:
         fh.write(",".join(str(int(v)) for v in binder.labels) + "\n")
-    if matrix is not None and conf.get("write_coclustering", True):
-        np.savetxt(out / "coclustering.csv", matrix.probabilities(),
+    if probabilities is not None and conf.get("write_coclustering", True):
+        np.savetxt(out / "coclustering.csv", probabilities,
                    delimiter=",", fmt="%.6f")
     post = result.records[conf["burnin"]:]
     summary.update({
@@ -321,7 +331,7 @@ def _benchmark_cell(cell: dict) -> dict:
     mcfg = _model_config(cell).resolved_for(n)
     kind = SamplerKind(cell["sampler"])
     L, init = _chain_start(ds.y, kind, cell.get("L"),
-                           RngStream(seed=seed, stream=20_000 + n), 5)
+                           RngStream(seed=seed, stream=20_000 + n))
     result = run_chain(ds.y, mcfg, RngStream(seed=seed, stream=100 + cell["index"]),
                        kind, iters=cell["iters"], burnin=cell["burnin"],
                        init_labels=init, L=L,
@@ -371,7 +381,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                                                    conf.get("time_budget_s", 1.0)))
         cell["seed"] = conf["seed"]
         cell["index"] = idx
-        _check_iters(cell["iters"], f"benchmark cell {idx} iters")
+        _check_sweeps(cell, f"benchmark cell {idx} ")
         cells.append(cell)
     rows = _map_cells(_benchmark_cell, cells, conf["threads"])
     path = out / "benchmark.csv"
@@ -402,10 +412,11 @@ def _verify_cell(cell: dict) -> dict:
                                 cell["replicates"])
     out = {"n": cell["n"], "alpha": cell["alpha"], "spec": cell["spec"],
            "overhead": [], "tails": None}
-    for delta in cell["deltas"]:
-        consts = overhead_bound_constants(cell["alpha"], delta)
-        out["overhead"].append(check_overhead_bound(samples, consts).to_dict())
-    if cell.get("tails"):
+    if cell["overhead"]:
+        for delta in cell["deltas"]:
+            consts = overhead_bound_constants(cell["alpha"], delta)
+            out["overhead"].append(check_overhead_bound(samples, consts).to_dict())
+    if cell["tails"]:
         consts = overhead_bound_constants(cell["alpha"], cell["deltas"][0])
         out["tails"] = check_exponential_tail(samples, consts).to_dict()
     return out
@@ -413,7 +424,6 @@ def _verify_cell(cell: dict) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
-    out = _outdir(conf)
     vconf = conf.get("verify", {})
     alphas = vconf.get("alphas", [0.5, 1.0, 5.0])
     ns = vconf.get("ns", [100, 1_000, 10_000])
@@ -421,26 +431,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = vconf.get("spec", "singleton")
     replicates = int(vconf.get("replicates", 100_000))
     tails_at = vconf.get("tails_at", [[1_000, 1.0]])
-    checks = vconf.get("checks", ["overhead", "tails", "merge", "poisson"])
+    checks = vconf.get("checks", list(VERIFY_CHECKS))
+    mconf = vconf.get("merge", {})
+    n_merge = int(mconf.get("n", 6))
     seed = conf["seed"]
+    if (not isinstance(checks, list) or not checks
+            or any(c not in VERIFY_CHECKS for c in checks)):
+        raise ValueError(f"verify.checks must be a nonempty list of names "
+                         f"from {list(VERIFY_CHECKS)}; got {checks!r}")
     if any(n < 2 for n in ns):
         raise ValueError(f"verify.ns must all be >= 2, since the bounds scale "
                          f"with log n; got {ns}")
+    if "merge" in checks and n_merge < 2:
+        raise ValueError(f"verify.merge.n must be >= 2, since the merge chain "
+                         f"starts from n singletons; got {n_merge}")
 
     cells = []
-    idx = 0
-    for alpha in alphas:
-        for n in ns:
-            cell = {"seed": seed, "index": idx, "n": n, "alpha": alpha,
-                    "spec": spec, "replicates": replicates, "deltas": deltas,
-                    "tails": "tails" in checks
-                             and any(n == ta[0] and alpha == ta[1] for ta in tails_at)}
+    for idx, (alpha, n) in enumerate(itertools.product(alphas, ns)):
+        cell = {"seed": seed, "index": idx, "n": n, "alpha": alpha,
+                "spec": spec, "replicates": replicates, "deltas": deltas,
+                "overhead": "overhead" in checks,
+                "tails": "tails" in checks
+                         and any(n == ta[0] and alpha == ta[1] for ta in tails_at)}
+        if cell["overhead"] or cell["tails"]:
             cells.append(cell)
-            idx += 1
-    if "overhead" in checks or "tails" in checks:
-        results = _map_cells(_verify_cell, cells, conf["threads"])
-    else:
-        results = []
+    if "tails" in checks and not any(c["tails"] for c in cells):
+        raise ValueError(f"verify.tails_at names no (n, alpha) cell of the "
+                         f"grid; got {tails_at}")
+    out = _outdir(conf)
+    results = _map_cells(_verify_cell, cells, conf["threads"])
 
     report = {"schema_version": SCHEMA_VERSION, "seed": seed,
               "replicates": replicates, "cells": results}
@@ -456,10 +475,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             all_pass = all_pass and res["tails"]["passed"]
 
     if "merge" in checks:
-        mconf = vconf.get("merge", {})
         x_grid = mconf.get("x_grid", [1e-3, 1e-2, 0.05])
         m = int(mconf.get("replicates", 1_000_000))
-        n_merge = int(mconf.get("n", 6))
         alpha_m = float(mconf.get("alpha", 1.0))
         rng = RngStream(seed=seed, stream=50_000)
         chain = []
@@ -525,7 +542,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     def empirical(kind, L=None, stream=0):
         result = run_chain(ds.y, mcfg, RngStream(seed=seed, stream=stream),
                            kind, iters=sweeps, burnin=burnin, L=L,
-                           snapshot_thin=1, time_budget_s=3600.0)
+                           time_budget_s=3600.0)
         freq: dict = {}
         for lab in result.snapshots:
             key = tuple(int(v) for v in lab)

@@ -1,5 +1,5 @@
-"""Chain output measurement: effective sample size, co-clustering
-accumulation, and Binder-loss point estimation over sampled partitions."""
+"""Chain output measurement: effective sample size, co-clustering counts,
+and Binder-loss point estimation over sampled partitions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -56,29 +56,6 @@ def ess(trace) -> EssResult:
     return EssResult(value=float(min(n / tau, n)), zero_variance=False)
 
 
-class CoClusteringMatrix:
-    """Accumulator of pairwise co-assignment counts across sampled partitions.
-
-    ``counts[i, j]`` holds the number of accumulated samples in which items
-    i and j share a block; the diagonal equals the sample count.
-    """
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.counts = np.zeros((n, n))
-        self.num_samples = 0
-
-    @property
-    def n(self) -> int:
-        return self.counts.shape[0]
-
-    def probabilities(self) -> np.ndarray:
-        if self.num_samples == 0:
-            raise ValueError("no samples accumulated")
-        return self.counts / self.num_samples
-
-
 # columns per one-hot product: bounds its n x columns operands whatever the
 # samples' block counts (up to n each)
 _CHUNK_COLUMNS = 256
@@ -114,14 +91,17 @@ def _one_hot_chunks(labels: np.ndarray, blocks: np.ndarray):
         yield slice(lo, hi), z, cols
 
 
-def accumulate_coclustering(matrix: CoClusteringMatrix, samples) -> CoClusteringMatrix:
-    """Add a stack of sampled partitions (label vectors, one per row) to the
-    accumulator: counts += Z Z^T over their one-hot block matrix Z."""
-    labels, blocks, _ = _compact(samples, matrix.n)
+def accumulate_coclustering(samples) -> np.ndarray:
+    """Pairwise co-assignment counts of sampled partitions (label vectors of
+    equal length): ``counts[i, j]`` is the number of samples in which items
+    i and j share a block, so the diagonal holds the sample count. Summed
+    as Z Z^T over the samples' one-hot block matrix Z."""
+    labels, blocks, _ = _compact(samples)
+    n = labels.shape[1]
+    counts = np.zeros((n, n))
     for _, z, _ in _one_hot_chunks(labels, blocks):
-        matrix.counts += z @ z.T
-    matrix.num_samples += len(labels)
-    return matrix
+        counts += z @ z.T
+    return counts
 
 
 def binder_loss(labels, probabilities) -> float:
@@ -162,41 +142,49 @@ def _binder_pick(samples, cand, a, f, s_total: int, c_total: float) -> BinderRes
                         loss=float(scaled[best] / (2.0 * s_total)))
 
 
-def binder_point_estimate(samples, matrix: CoClusteringMatrix) -> BinderResult:
+def binder_point_estimate(samples, counts: np.ndarray) -> BinderResult:
     """The sampled partition minimizing Binder loss against the empirical
-    co-clustering probabilities of ``matrix`` (Dahl 2006); ties break toward
-    the earliest sample.
+    co-clustering probabilities of the counts C from
+    :func:`accumulate_coclustering` (Dahl 2006), whose diagonal gives the
+    number of samples they sum; ties break toward the earliest sample.
 
     Every sample is a candidate. F_s comes from one-hot products:
     sum_i (C Z_s)[i, s_i], over chunks of samples.
     """
     samples = list(samples)
-    if matrix.num_samples == 0:
+    n = counts.shape[0]
+    s_total = int(counts[0, 0])
+    if s_total == 0:
         raise ValueError("no samples accumulated")
-    labels, blocks, a = _compact(samples, matrix.n)
-    rows = np.arange(matrix.n)
+    labels, blocks, a = _compact(samples, n)
+    rows = np.arange(n)
     f = np.empty(len(samples))
     for chunk, z, cols in _one_hot_chunks(labels, blocks):
-        f[chunk] = (matrix.counts @ z)[rows, cols].sum(axis=1)
-    return _binder_pick(samples, np.arange(len(samples)), a, f,
-                        matrix.num_samples, float(matrix.counts.sum()))
+        f[chunk] = (counts @ z)[rows, cols].sum(axis=1)
+    return _binder_pick(samples, np.arange(len(samples)), a, f, s_total,
+                        float(counts.sum()))
 
 
-def binder_point_estimate_sparse(samples, max_candidates: int = 400) -> BinderResult:
+# the most samples the contingency-table search scores as candidates
+SPARSE_MAX_CANDIDATES = 400
+
+
+def binder_point_estimate_sparse(samples) -> BinderResult:
     """Binder minimizer over sampled partitions without the n x n matrix.
 
     The co-clustering counts are those of all S samples, and F_s is the sum
     over samples t of the squared Frobenius norm of the s-vs-t contingency
     table, so the losses and tie-breaks equal those of
     :func:`binder_point_estimate`. The candidate set is capped at
-    ``max_candidates`` evenly spaced samples (every sample still enters the
-    co-clustering counts).
+    SPARSE_MAX_CANDIDATES evenly spaced samples (every sample still enters
+    the co-clustering counts).
     """
     samples = list(samples)
     labels, blocks, a = _compact(samples)
     s_total = len(samples)
-    # evenly spaced, and every sample when there are at most max_candidates
-    cand = np.unique(np.linspace(0, s_total - 1, max_candidates).round().astype(int))
+    # evenly spaced, and every sample when there are at most the cap
+    cand = np.unique(np.linspace(0, s_total - 1,
+                                 SPARSE_MAX_CANDIDATES).round().astype(int))
     f = np.zeros(cand.size)
     for j, s in enumerate(cand):
         for t in range(s_total):

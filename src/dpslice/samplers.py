@@ -36,9 +36,10 @@ The weight and slice draws also take a leading replicate axis, and the stick
 extension takes vectors of residuals and slice minima, so the
 cost-verification harness in ``bounds`` runs many replicates through the
 same functions a sweep calls with one. The weight and slice draws run the
-same code either way; the stick extension runs a masked loop over the
-replicates, which with one replicate consumes the stream exactly as the
-sweep's scalar loop does.
+same code either way. The stick extension runs a masked loop over the
+replicates that draws sticks and no atoms, since the harness counts
+components only; with one replicate it consumes the stream exactly as the
+scalar loop does without atoms, the form the marginal slice sweep runs.
 """
 from __future__ import annotations
 
@@ -160,16 +161,14 @@ def extend_components(rng: RngStream, residual, umin, alpha: float,
     """Grow the instantiated component set until leftover mass drops under
     the minimum slice.
 
-    One stick draw Beta(1, alpha) per new component; atom draws from the
-    base measure can be skipped when the caller has no use for them (the
-    loop is shared by inference and by the cost-verification harness).
-
-    A sweep passes one replicate as floats and gets
-    (tail_weights, tail_atoms, final_residual) back. The verification
-    harness passes equal-length vectors of residuals and slice minima, one
-    entry per replicate, and gets (counts, tail_atoms, final_residuals):
-    the number of components each replicate instantiated, the atoms in draw
-    order (see :func:`_extend_masked`) and the leftover masses.
+    One stick draw Beta(1, alpha) per new component. A sweep passes one
+    replicate as floats and gets (tail_weights, tail_atoms, final_residual)
+    back; ``with_atoms=False`` skips the atom draws from the base measure
+    for a sweep that integrates atoms out. The verification harness passes
+    equal-length vectors of residuals and slice minima, one entry per
+    replicate, and gets (counts, final_residuals): the number of components
+    each replicate instantiated and the leftover masses. That replicate form
+    draws sticks only, whatever ``with_atoms`` says.
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
@@ -182,7 +181,7 @@ def extend_components(rng: RngStream, residual, umin, alpha: float,
             raise ValueError("every residual must be in (0, 1]")
         if not np.all((u > 0.0) & (u < 1.0)):
             raise ValueError("every umin must be in (0, 1)")
-        return _extend_masked(rng, r, u, alpha, cfg, with_atoms)
+        return _extend_masked(rng, r, u, alpha, cfg)
     if not 0.0 < residual <= 1.0:
         raise ValueError(f"residual must be in (0, 1], got {residual}")
     if not 0.0 < umin < 1.0:
@@ -204,30 +203,24 @@ def extend_components(rng: RngStream, residual, umin, alpha: float,
 
 
 def _extend_masked(rng: RngStream, residual: np.ndarray, umin: np.ndarray,
-                   alpha: float, cfg: ModelConfig, with_atoms: bool):
-    """The stick extension for many replicates at once.
+                   alpha: float, cfg: ModelConfig):
+    """The stick extension for many replicates at once, without atoms.
 
-    Each step draws one atom (optionally) and one clamped Beta(1, alpha)
-    stick for every replicate whose residual is still above its slice
-    minimum, then drops the replicates that are done. With one replicate it
-    consumes the stream exactly as the scalar loop does. The atoms come
-    back step-major: all first atoms of the extending replicates in
-    replicate order, then all second atoms, and so on.
+    Each step draws one clamped Beta(1, alpha) stick for every replicate
+    whose residual is still above its slice minimum, then drops the
+    replicates that are done. With one replicate it consumes the stream
+    exactly as the scalar loop does with ``with_atoms=False``.
     """
     gen = rng.gen
-    sd = math.sqrt(cfg.base_var)
     final = residual.copy()
     counts = np.zeros(residual.size, dtype=np.int64)
     idx = np.flatnonzero(residual > umin)
     r = residual[idx]
     lo = umin[idx]
-    atoms: list[np.ndarray] = []
     steps = 0
     while idx.size:
         if steps >= cfg.max_extension:
             raise RunawayExtensionError(umin=float(lo.min()), cap=cfg.max_extension)
-        if with_atoms:
-            atoms.append(gen.normal(cfg.base_mean, sd, idx.size))
         v = clamp_weights(gen.beta(1.0, alpha, idx.size))
         r -= v * r
         steps += 1
@@ -237,8 +230,7 @@ def _extend_masked(rng: RngStream, residual: np.ndarray, umin: np.ndarray,
             counts[idx[done]] = steps
             keep = ~done
             idx, r, lo = idx[keep], r[keep], lo[keep]
-    tail_atoms = np.concatenate(atoms) if atoms else np.empty(0)
-    return counts, tail_atoms, final
+    return counts, final
 
 
 def update_alpha_escobar_west(rng: RngStream, alpha: float, n: int,
@@ -644,7 +636,7 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
-def prior_generative_sweep(state: MixtureState, n: int, cfg: ModelConfig,
+def prior_generative_sweep(state: MixtureState, cfg: ModelConfig,
                            rng: RngStream) -> MixtureState:
     """One no-data sweep of the slice mechanism.
 
@@ -657,8 +649,6 @@ def prior_generative_sweep(state: MixtureState, n: int, cfg: ModelConfig,
     overweights fragmented partitions.)
     """
     part = state.partition
-    if part.n != n:
-        raise ValueError("state size disagrees with n")
     alpha = float(cfg.alpha_fixed) if cfg.alpha_fixed is not None else state.alpha
     allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
     atoms_occ = rng.gen.normal(cfg.base_mean, math.sqrt(cfg.base_var),
@@ -672,7 +662,7 @@ def prior_generative_sweep(state: MixtureState, n: int, cfg: ModelConfig,
     order, pos = _slice_candidates(all_w, slices)
     order_l = order.tolist()
     k_total = all_w.size
-    raw = np.empty(n, dtype=LABEL_DTYPE)
+    raw = np.empty(part.n, dtype=LABEL_DTYPE)
     for i, p in enumerate(pos):
         raw[i] = order_l[p + int(rng.gen.integers(k_total - p))] + 1
     newpart, origin = relabel_compact_with_map(raw)
@@ -723,14 +713,13 @@ def default_snapshot_thin(n: int) -> int:
 
 def run_chain(data, cfg: ModelConfig, rng: RngStream, kind: SamplerKind,
               iters: int, burnin: int, init_labels=None, L: int | None = None,
-              snapshot_thin: int | None = None,
               time_budget_s: float = 1.0) -> ChainResult:
     """Drive a sampler for burnin + iters sweeps.
 
     Aborts and flags the result infeasible when the first
     ``FEASIBILITY_WINDOW`` sweeps together exceed ``time_budget_s`` seconds.
     Snapshots of the label vector are collected after burn-in every
-    ``snapshot_thin`` sweeps.
+    ``default_snapshot_thin(n)`` sweeps.
     """
     kind = SamplerKind(kind)
     y = np.asarray(data, dtype=float)
@@ -741,8 +730,7 @@ def run_chain(data, cfg: ModelConfig, rng: RngStream, kind: SamplerKind,
     n = y.size
     cfg = cfg.resolved_for(n)
     sweep = make_sweep(kind, L)
-    if snapshot_thin is None:
-        snapshot_thin = default_snapshot_thin(n)
+    snapshot_thin = default_snapshot_thin(n)
     if init_labels is None:
         if kind is SamplerKind.BLOCKED_GIBBS:
             init_labels = (np.arange(n, dtype=LABEL_DTYPE) % L) + 1

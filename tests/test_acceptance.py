@@ -87,7 +87,7 @@ def test_criterion_1_exact_samplers_match_enumerated_posterior(six_point_instanc
     for i, name in enumerate(EXACT_SAMPLERS):
         result = run_chain(ds.y, cfg, RngStream(seed=SEED, stream=100 + i),
                            SamplerKind(name), iters=EXACT_SWEEPS,
-                           burnin=EXACT_BURNIN, snapshot_thin=1,
+                           burnin=EXACT_BURNIN,
                            time_budget_s=600.0)
         assert not result.infeasible
         assert len(result.snapshots) == EXACT_SWEEPS
@@ -105,7 +105,7 @@ def test_criterion_2_truncation_excludes_large_partitions(six_point_instance):
     ds, cfg, exact = six_point_instance
     result = run_chain(ds.y, cfg, RngStream(seed=SEED, stream=200),
                        SamplerKind.BLOCKED_GIBBS, iters=EXACT_SWEEPS,
-                       burnin=EXACT_BURNIN, snapshot_thin=1, L=2,
+                       burnin=EXACT_BURNIN, L=2,
                        time_budget_s=600.0)
     assert not result.infeasible
     empirical_mass = sum(
@@ -236,7 +236,7 @@ def _desk_run_rand(kind, dataset_kind, n, L=None):
     """Desk-preset chain (1000 burn-in + 1000 recorded) -> Binder Rand index."""
     ds = make_dataset(dataset_kind, RngStream(seed=SEED, stream=10_000 + n), n)
     L, init = _chain_start(ds.y, kind, L,
-                           RngStream(seed=SEED, stream=20_000 + n), 5)
+                           RngStream(seed=SEED, stream=20_000 + n))
     result = run_chain(ds.y, ModelConfig(), RngStream(seed=SEED, stream=3),
                        kind, iters=1_000, burnin=1_000,
                        init_labels=init, L=L, time_budget_s=600.0)

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from dpslice.bounds import (
     BoundConstants,
@@ -236,9 +237,11 @@ class TestCheckExponentialTail:
         assert rep.mean_ratio <= rep.mean_limit
         assert rep.mean_limit == pytest.approx(B1_ALPHA1 + B2_ALPHA1, rel=1e-13)
 
-    def test_t_zero_is_trivially_satisfied(self):
+    def test_t_zero_is_trivially_satisfied(self, monkeypatch):
+        import dpslice.bounds as bounds
+        monkeypatch.setattr(bounds, "TAIL_T_GRID", (0.0,))
         s = simulate_overhead(RngStream(seed=86, stream=0), 50, "singleton", 1.0, 1000)
-        rep = check_exponential_tail(s, overhead_bound_constants(1.0, 0.1), t_grid=(0.0,))
+        rep = check_exponential_tail(s, overhead_bound_constants(1.0, 0.1))
         assert rep.tails[0] <= rep.limits[0] == 1.0
 
 
@@ -331,8 +334,10 @@ class TestPoissonStickLaw:
         assert rep.rate == pytest.approx(2.0)
         assert abs(rep.sample_mean - 2.0) <= 3.0 * math.sqrt(2.0 / m)
         assert rep.passed
-        assert rep.p_value >= rep.significance
+        assert rep.p_value >= rep.significance == 0.01
         assert rep.dof >= 1
+        # the reference survival function, from scipy.stats
+        assert rep.p_value == chi2.sf(rep.chi2_stat, rep.dof)
 
     def test_near_one_threshold_rarely_extends(self):
         rep = check_poisson_stick_law(RngStream(seed=100, stream=0),
@@ -348,6 +353,7 @@ class TestPoissonStickLaw:
                                           x=math.exp(-li), alpha=alpha,
                                           replicates=20_000)
             means.append(rep.sample_mean)
+            assert rep.p_value == chi2.sf(rep.chi2_stat, rep.dof)
         slope = np.polyfit(logs, means, 1)[0]
         assert slope == pytest.approx(alpha, rel=0.05)
 

@@ -222,6 +222,17 @@ class TestRun:
         assert "error: iters must be >= 10" in capsys.readouterr().err
         assert not (tmp_path / "short" / "trace.csv").exists()
 
+    @pytest.mark.parametrize("key,value,reason", [
+        ("iters", "50", "an integer"), ("iters", True, "an integer"),
+        ("iters", 50.0, "an integer"), ("burnin", "20", "an integer"),
+        ("burnin", False, "an integer"), ("burnin", -1, ">= 0")])
+    def test_non_integer_sweep_count_is_config_error(self, tmp_path, capsys,
+                                                     key, value, reason):
+        conf = _run_config(tmp_path, "badcount", **{key: value})
+        assert main(["run", "--config", _write_config(tmp_path, conf)]) == 2
+        assert f"error: {key} must be {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "badcount").exists()
+
     def test_coclustering_export_can_be_disabled(self, tmp_path):
         conf = _run_config(tmp_path, "nococl", write_coclustering=False)
         cfg = _write_config(tmp_path, conf)
@@ -298,6 +309,17 @@ class TestBenchmark:
         assert not (tmp_path / "bench5" / "trace.csv").exists()
         assert not (tmp_path / "bench5" / "benchmark.csv").exists()
 
+    @pytest.mark.parametrize("key,value", [("iters", "50"), ("iters", True),
+                                           ("burnin", "5"), ("burnin", 1.5)])
+    def test_cell_with_non_integer_sweep_count_is_config_error(
+            self, tmp_path, capsys, key, value):
+        grid = [{"sampler": "slice", "n": 20, key: value}]
+        cfg = self._bench_conf(tmp_path, "bench6", grid)
+        assert main(["benchmark", "--config", cfg]) == 2
+        assert f"error: benchmark cell 0 {key} must be an integer" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "bench6" / "benchmark.csv").exists()
+
     def test_thread_count_does_not_change_results(self, tmp_path):
         grid = [{"sampler": "slice", "n": 24}, {"sampler": "crp-atoms", "n": 24}]
         for name, threads in (("t1", 1), ("t2", 2)):
@@ -362,6 +384,61 @@ class TestVerify:
         assert tails["passed"] is True
         assert len(tails["tails"]) == 4
 
+    def test_tails_alone_writes_no_overhead_rows(self, tmp_path, monkeypatch):
+        import dpslice.cli as cli
+
+        def failing(*args, **kwargs):
+            raise AssertionError("an overhead bound was checked")
+
+        monkeypatch.setattr(cli, "check_overhead_bound", failing)
+        cfg = _write_config(tmp_path, {
+            "verify": {"alphas": [1.0], "ns": [50, 100], "deltas": [0.1],
+                       "replicates": 10_000, "tails_at": [[100, 1.0]],
+                       "checks": ["tails"]},
+            "out": str(tmp_path / "ver5"),
+        })
+        assert main(["verify", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "ver5" / "verify.json").read_text())
+        assert [c["n"] for c in report["cells"]] == [100]
+        assert report["cells"][0]["overhead"] == []
+        assert report["cells"][0]["tails"]["passed"] is True
+        assert _read_csv(tmp_path / "ver5" / "verify.csv") == [VERIFY_COLUMNS]
+
+    @pytest.mark.parametrize("checks", [["overheads"], [], "overhead",
+                                        ["overhead", "tail"]])
+    def test_unknown_or_empty_checks_are_config_errors(self, tmp_path, capsys,
+                                                       checks):
+        cfg = _write_config(tmp_path, {
+            "verify": {"alphas": [1.0], "ns": [50], "replicates": 1000,
+                       "checks": checks},
+            "out": str(tmp_path / "ver6"),
+        })
+        assert main(["verify", "--config", cfg]) == 2
+        assert "error: verify.checks must be a nonempty list" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "ver6" / "verify.json").exists()
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_merge_chain_without_a_merge_is_config_error(self, tmp_path, capsys,
+                                                         n):
+        cfg = _write_config(tmp_path, {
+            "verify": {"checks": ["merge"], "merge": {"n": n}},
+            "out": str(tmp_path / "ver7"),
+        })
+        assert main(["verify", "--config", cfg]) == 2
+        assert "error: verify.merge.n must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "ver7" / "verify.json").exists()
+
+    def test_tails_at_outside_the_grid_is_config_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {
+            "verify": {"alphas": [1.0], "ns": [50], "replicates": 1000,
+                       "tails_at": [[1000, 1.0]], "checks": ["tails"]},
+            "out": str(tmp_path / "ver8"),
+        })
+        assert main(["verify", "--config", cfg]) == 2
+        assert "error: verify.tails_at names no (n, alpha) cell" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "ver8" / "verify.json").exists()
 
     def test_n_below_two_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
@@ -470,6 +547,16 @@ class TestErrorHandling:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, dpslice.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestConsoleScript:

@@ -9,7 +9,6 @@ from scipy.signal import lfilter
 
 from dpslice.diagnostics import (
     BinderResult,
-    CoClusteringMatrix,
     EssResult,
     accumulate_coclustering,
     binder_loss,
@@ -22,10 +21,6 @@ from dpslice.randkit import (
     sample_categorical_logweights,
     sample_normal,
 )
-
-
-def _accumulate_all(samples):
-    return accumulate_coclustering(CoClusteringMatrix(len(samples[0])), samples)
 
 
 class TestEss:
@@ -82,20 +77,19 @@ class TestEss:
 
 class TestCoClusteringMatrix:
     def test_single_singleton_sample_gives_identity(self):
-        mat = _accumulate_all([np.array([1, 2, 3, 4])])
-        assert np.array_equal(mat.counts, np.eye(4))
-        assert mat.num_samples == 1
+        counts = accumulate_coclustering([np.array([1, 2, 3, 4])])
+        assert np.array_equal(counts, np.eye(4))
 
     def test_single_one_block_sample_gives_all_ones(self):
-        mat = _accumulate_all([np.array([1, 1, 1])])
-        assert np.array_equal(mat.counts, np.ones((3, 3)))
+        counts = accumulate_coclustering([np.array([1, 1, 1])])
+        assert np.array_equal(counts, np.ones((3, 3)))
 
     def test_two_sample_hand_count(self):
-        mat = _accumulate_all([np.array([1, 1, 2]), np.array([1, 2, 2])])
+        counts = accumulate_coclustering([np.array([1, 1, 2]), np.array([1, 2, 2])])
         expected = np.array([[2.0, 1.0, 0.0],
                              [1.0, 2.0, 1.0],
                              [0.0, 1.0, 2.0]])
-        assert np.array_equal(mat.counts, expected)
+        assert np.array_equal(counts, expected)
 
     def test_counts_match_pairwise_equalities_across_chunks(self):
         # about 20 blocks per sample, so the 60 samples span several
@@ -103,33 +97,26 @@ class TestCoClusteringMatrix:
         rng = np.random.Generator(np.random.PCG64(8))
         samples = [rng.integers(1, 31, size=30) for _ in range(60)]
         expected = sum((s[:, None] == s[None, :]).astype(float) for s in samples)
-        mat = _accumulate_all(samples)
-        assert np.array_equal(mat.counts, expected)
-        assert mat.num_samples == 60
+        counts = accumulate_coclustering(samples)
+        assert np.array_equal(counts, expected)
+        assert np.array_equal(np.diag(counts), np.full(30, 60.0))
 
     def test_probabilities_unit_diagonal_and_range(self):
         rng = RngStream(seed=5, stream=0)
         samples = [np.array([sample_categorical_logweights(rng, np.zeros(3)) + 1
                              for _ in range(6)]) for _ in range(20)]
-        p = _accumulate_all(samples).probabilities()
+        p = accumulate_coclustering(samples) / len(samples)
         assert np.array_equal(np.diag(p), np.ones(6))
         assert np.all((0.0 <= p) & (p <= 1.0))
         assert np.array_equal(p, p.T)
 
     def test_size_mismatch_rejected(self):
-        mat = CoClusteringMatrix(3)
         with pytest.raises(ValueError):
-            accumulate_coclustering(mat, np.array([1, 2]))
-        with pytest.raises(ValueError):
-            accumulate_coclustering(mat, [np.array([1, 2, 2]), np.array([1, 2])])
+            accumulate_coclustering([np.array([1, 2, 2]), np.array([1, 2])])
 
     def test_empty_accumulator_has_no_probabilities(self):
         with pytest.raises(ValueError):
-            CoClusteringMatrix(2).probabilities()
-
-    def test_invalid_size_rejected(self):
-        with pytest.raises(ValueError):
-            CoClusteringMatrix(0)
+            accumulate_coclustering([])
 
 
 class TestBinderLoss:
@@ -143,7 +130,7 @@ class TestBinderLoss:
 
     def test_zero_loss_against_own_coclustering(self):
         lab = np.array([1, 1, 2, 3, 3])
-        p = _accumulate_all([lab]).probabilities()
+        p = accumulate_coclustering([lab])  # one sample: counts are probabilities
         assert binder_loss(lab, p) == 0.0
 
     def test_shape_mismatch_rejected(self):
@@ -154,50 +141,51 @@ class TestBinderLoss:
 class TestBinderPointEstimate:
     def test_all_identical_samples_return_that_partition(self):
         samples = [np.array([1, 1, 2])] * 5
-        res = binder_point_estimate(samples, _accumulate_all(samples))
+        res = binder_point_estimate(samples, accumulate_coclustering(samples))
         assert np.array_equal(res.labels, [1, 1, 2])
         assert res.sample_index == 0
         assert res.loss == 0.0
 
     def test_majority_singletons_beat_one_block(self):
         samples = [np.array([1, 2, 3])] * 9 + [np.array([1, 1, 1])]
-        res = binder_point_estimate(samples, _accumulate_all(samples))
+        res = binder_point_estimate(samples, accumulate_coclustering(samples))
         assert np.array_equal(res.labels, [1, 2, 3])
         assert res.loss == pytest.approx(0.3)
 
     def test_label_permutation_within_samples_is_irrelevant(self):
         samples = [np.array([1, 1, 2]), np.array([2, 2, 1]), np.array([1, 2, 2])]
-        res = binder_point_estimate(samples, _accumulate_all(samples))
+        res = binder_point_estimate(samples, accumulate_coclustering(samples))
         # The first two samples are the same partition under different names,
         # so it wins with the earliest index.
         assert res.sample_index == 0
         relabeled = [np.array([5, 5, 9]), np.array([4, 4, 7]), np.array([3, 8, 8])]
-        res2 = binder_point_estimate(relabeled, _accumulate_all(relabeled))
+        res2 = binder_point_estimate(relabeled,
+                                     accumulate_coclustering(relabeled))
         assert res2.sample_index == 0
         assert res2.loss == res.loss
 
     def test_exact_ties_break_to_earliest_sample(self):
         samples = [np.array([1, 2]), np.array([2, 1])]
-        res = binder_point_estimate(samples, _accumulate_all(samples))
+        res = binder_point_estimate(samples, accumulate_coclustering(samples))
         assert res.sample_index == 0
 
     def test_estimate_is_member_of_input(self):
         rng = RngStream(seed=21, stream=0)
         samples = [np.array([sample_categorical_logweights(rng, np.zeros(4)) + 1
                              for _ in range(7)]) for _ in range(25)]
-        res = binder_point_estimate(samples, _accumulate_all(samples))
+        res = binder_point_estimate(samples, accumulate_coclustering(samples))
         assert np.array_equal(res.labels, samples[res.sample_index])
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            binder_point_estimate([], CoClusteringMatrix(3))
+            binder_point_estimate([], np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            binder_point_estimate([np.array([1, 2, 3])], CoClusteringMatrix(3))
+            binder_point_estimate([np.array([1, 2, 3])], np.zeros((3, 3)))
 
     def test_sample_length_mismatch_rejected(self):
-        mat = _accumulate_all([np.array([1, 1, 2])])
+        counts = accumulate_coclustering([np.array([1, 1, 2])])
         with pytest.raises(ValueError):
-            binder_point_estimate([np.array([1, 2])], mat)
+            binder_point_estimate([np.array([1, 2])], counts)
 
 
 class TestBinderSparsePath:
@@ -208,31 +196,35 @@ class TestBinderSparsePath:
         n = int(rng.integers(2, 9))
         n_samples = int(rng.integers(1, 13))
         samples = [rng.integers(1, 5, size=n) for _ in range(n_samples)]
-        matrix = _accumulate_all(samples)
-        dense = binder_point_estimate(samples, matrix)
+        counts = accumulate_coclustering(samples)
+        dense = binder_point_estimate(samples, counts)
         sparse = binder_point_estimate_sparse(samples)
         assert sparse.sample_index == dense.sample_index
         assert sparse.loss == dense.loss
         assert np.array_equal(sparse.labels, dense.labels)
         # brute force: the pairwise loss of every sample, minimised
-        losses = [binder_loss(s, matrix.probabilities()) for s in samples]
+        losses = [binder_loss(s, counts / n_samples) for s in samples]
         assert dense.loss == pytest.approx(min(losses), rel=1e-12, abs=1e-12)
         assert losses[dense.sample_index] == pytest.approx(min(losses),
                                                            rel=1e-12, abs=1e-12)
 
-    def test_candidate_cap_still_returns_member_with_valid_loss(self):
+    def test_candidate_cap_still_returns_member_with_valid_loss(self, monkeypatch):
+        import dpslice.diagnostics as diagnostics
         rng = np.random.Generator(np.random.PCG64(3))
         samples = [rng.integers(1, 4, size=6) for _ in range(30)]
         full = binder_point_estimate_sparse(samples)
-        capped = binder_point_estimate_sparse(samples, max_candidates=5)
+        monkeypatch.setattr(diagnostics, "SPARSE_MAX_CANDIDATES", 5)
+        capped = binder_point_estimate_sparse(samples)
         assert any(np.array_equal(capped.labels, s) for s in samples)
         assert capped.loss >= full.loss
 
-    def test_cap_keeps_endpoints(self):
+    def test_cap_keeps_endpoints(self, monkeypatch):
+        import dpslice.diagnostics as diagnostics
         # Index 0 is the clear winner; a tight cap must still consider it.
         samples = [np.array([1, 1, 2])] * 21
         samples[10] = np.array([1, 2, 3])
-        res = binder_point_estimate_sparse(samples, max_candidates=2)
+        monkeypatch.setattr(diagnostics, "SPARSE_MAX_CANDIDATES", 2)
+        res = binder_point_estimate_sparse(samples)
         assert res.sample_index == 0
 
     def test_empty_samples_rejected(self):

@@ -253,12 +253,10 @@ class TestReplicateAxis:
                                              seed):
         r = np.asarray(residual)
         u = np.full(r.size, umin_level)
-        counts, atoms, final = extend_components(RngStream(seed=seed), r, u,
-                                                 alpha, CFG, with_atoms=False)
+        counts, final = extend_components(RngStream(seed=seed), r, u, alpha, CFG)
         assert np.all(final <= u)
         assert np.all(final > 0.0)
         assert np.all((counts == 0) == (r <= u))
-        assert atoms.size == 0
 
     def test_one_replicate_matches_unbatched_draws(self):
         part = _labels_from_sizes([3, 1, 2])
@@ -274,20 +272,17 @@ class TestReplicateAxis:
     @given(residual=st.floats(min_value=1e-3, max_value=1.0),
            umin=st.floats(min_value=1e-12, max_value=0.5),
            alpha=st.floats(min_value=0.1, max_value=10.0),
-           with_atoms=st.booleans(),
            seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=60, deadline=None)
     def test_masked_loop_reproduces_scalar_loop(self, residual, umin, alpha,
-                                                with_atoms, seed):
+                                                seed):
         a, b = RngStream(seed=seed), RngStream(seed=seed)
-        tail_w, tail_atoms, final = extend_components(a, residual, umin, alpha,
-                                                      CFG, with_atoms=with_atoms)
-        counts, atoms, finals = _extend_masked(b, np.array([residual]),
-                                               np.array([umin]), alpha, CFG,
-                                               with_atoms)
+        tail_w, _, final = extend_components(a, residual, umin, alpha, CFG,
+                                             with_atoms=False)
+        counts, finals = _extend_masked(b, np.array([residual]),
+                                        np.array([umin]), alpha, CFG)
         assert counts.tolist() == [len(tail_w)]
         assert finals.tolist() == [final]
-        assert atoms.tolist() == tail_atoms
         assert a.gen.bit_generator.state == b.gen.bit_generator.state
 
     def test_counts_follow_shifted_poisson_oracle(self):
@@ -297,8 +292,7 @@ class TestReplicateAxis:
         m, alpha = 40_000, 1.5
         r = np.where(np.arange(m) % 2 == 0, 0.6, 1.0)
         u = np.where(np.arange(m) % 2 == 0, 0.01, 0.2)
-        counts, _, _ = extend_components(RngStream(seed=141), r, u, alpha, CFG,
-                                         with_atoms=False)
+        counts, _ = extend_components(RngStream(seed=141), r, u, alpha, CFG)
         for pick in (r == 0.6, r == 1.0):
             rate = alpha * math.log(r[pick][0] / u[pick][0])
             shifted = counts[pick] - 1
@@ -860,11 +854,11 @@ class TestPriorGenerative:
         state = MixtureState(partition=relabel_compact(np.arange(1, n + 1)),
                              alpha=alpha)
         for _ in range(500):
-            state = prior_generative_sweep(state, n, cfg, rng)
+            state = prior_generative_sweep(state, cfg, rng)
         m = 8000
         hs = np.empty(m)
         for i in range(m):
-            state = prior_generative_sweep(state, n, cfg, rng)
+            state = prior_generative_sweep(state, cfg, rng)
             hs[i] = state.partition.num_blocks
         batches = hs.reshape(40, -1).mean(axis=1)
         se = batches.std(ddof=1) / math.sqrt(batches.size)
@@ -878,7 +872,7 @@ class TestPriorGenerative:
         m = 20_000
         hits = 0
         for _ in range(m):
-            state = prior_generative_sweep(state, 2, cfg, rng)
+            state = prior_generative_sweep(state, cfg, rng)
             hits += state.partition.num_blocks == 1
         assert abs(hits / m - 0.5) < 0.015
 
@@ -888,15 +882,9 @@ class TestPriorGenerative:
         state = MixtureState(partition=relabel_compact(np.arange(1, 13)),
                              alpha=2.0)
         for _ in range(300):
-            state = prior_generative_sweep(state, 12, cfg, rng)
+            state = prior_generative_sweep(state, cfg, rng)
             state.validate()
             assert state.weights.k_total >= state.partition.num_blocks
-
-    def test_size_mismatch_rejected(self):
-        state = MixtureState(partition=relabel_compact([1, 2]), alpha=1.0)
-        with pytest.raises(ValueError):
-            prior_generative_sweep(state, 3, ModelConfig(alpha_fixed=1.0),
-                                   RngStream(seed=0))
 
 
 class TestMakeSweep:
@@ -944,9 +932,11 @@ class TestRunChain:
         assert not res.infeasible
         res.final_state.validate()
 
-    def test_snapshot_thinning(self):
+    def test_snapshot_thinning(self, monkeypatch):
+        import dpslice.samplers as samplers
+        monkeypatch.setattr(samplers, "default_snapshot_thin", lambda n: 3)
         res = run_chain(self.Y, ModelConfig(), RngStream(seed=201),
-                        SamplerKind.SLICE, iters=30, burnin=5, snapshot_thin=3)
+                        SamplerKind.SLICE, iters=30, burnin=5)
         assert len(res.snapshots) == 10
         assert res.snapshot_iters == [8, 11, 14, 17, 20, 23, 26, 29, 32, 35]
 
