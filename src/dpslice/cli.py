@@ -64,6 +64,15 @@ BENCHMARK_COLUMNS = ["sampler", "n", "L", "seed", "median_sweep_ns",
 VERIFY_COLUMNS = ["n", "alpha", "delta", "spec", "exceedance", "threshold",
                   "pass"]
 VERIFY_CHECKS = ("overhead", "tails", "merge", "poisson")
+# the fixed check points of verify's merge and Poisson checks, the values
+# the acceptance gate passes `bounds` for its merge chain and Poisson law
+MERGE_X_GRID = (1e-3, 1e-2, 0.05)
+MERGE_ALPHA = 1.0
+POISSON_X = math.exp(-1.0)
+POISSON_ALPHA = 2.0
+# the samplers whose target is the exact posterior; blocked Gibbs is not one
+EXACT_KINDS = tuple(k.value for k in SamplerKind
+                    if k is not SamplerKind.BLOCKED_GIBBS)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +107,50 @@ def _merge_args(conf: dict, args: argparse.Namespace) -> dict:
     conf.setdefault("iters", PRESETS["paper"]["iters"])
     conf.setdefault("burnin", PRESETS["paper"]["burnin"])
     return conf
+
+
+# Config checks. JSON ``true`` and ``false`` load as Python bools, a subclass
+# of int; no check below counts a bool as a number.
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value, key: str, low: int, why: str = "") -> int:
+    """``value`` if it is an integer >= low, else a config error naming
+    ``key``."""
+    if not _is_integer(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{key} must be >= {low}{why}, got {value}")
+    return value
+
+
+def _number(value, key: str, ok, what: str):
+    """``value`` if it is a number that ``ok`` accepts, else a config error
+    naming ``key``."""
+    if not (_is_number(value) and ok(value)):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _list_of(values, key: str, ok, what: str, nonempty: bool = True) -> list:
+    """``values`` if it is a list (nonempty unless ``nonempty`` is False)
+    whose every entry ``ok`` accepts, else a config error naming ``key``."""
+    if (not isinstance(values, list) or (nonempty and not values)
+            or not all(ok(v) for v in values)):
+        raise ValueError(f"{key} must be a {'nonempty ' if nonempty else ''}"
+                         f"list of {what}; got {values!r}")
+    return values
+
+
+def _positive(value) -> bool:
+    return _is_number(value) and 0.0 < value < math.inf
 
 
 # the config keys that set the model; a benchmark grid cell may override them
@@ -169,18 +222,17 @@ def _snapshots_to_csv(path: Path, iters, snapshots) -> None:
             fh.write(f"{it},\"{','.join(str(int(v)) for v in lab)}\"\n")
 
 
-def _check_sweeps(conf: dict, where: str = "") -> None:
+def _check_sweeps(conf: dict, where: str = "") -> float:
     """Fail before any chain runs unless ``iters`` and ``burnin`` are
     integers, burnin >= 0 and iters >= MIN_TRACE_LENGTH, the shortest trace
-    for the effective sample size that ``run`` and ``benchmark`` report."""
-    for key, low, why in (("iters", MIN_TRACE_LENGTH,
-                           " for the effective sample size"),
-                          ("burnin", 0, "")):
-        value = conf[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{where}{key} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{where}{key} must be >= {low}{why}, got {value}")
+    for the effective sample size that ``run`` and ``benchmark`` report, and
+    ``time_budget_s`` (default 1 second) is a number >= 0. Returns the
+    time budget."""
+    _integer(conf["iters"], f"{where}iters", MIN_TRACE_LENGTH,
+             " for the effective sample size")
+    _integer(conf["burnin"], f"{where}burnin", 0)
+    return _number(conf.get("time_budget_s", 1.0), f"{where}time_budget_s",
+                   lambda t: t >= 0.0, "a number >= 0")
 
 
 def _ess_block(records) -> dict:
@@ -231,7 +283,7 @@ def _chain_start(y, kind: SamplerKind, L, rng: RngStream):
 
 def cmd_run(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
-    _check_sweeps(conf)
+    budget = _check_sweeps(conf)
     out = _outdir(conf)
     seed = conf["seed"]
     ds = _dataset_from_conf(conf, seed, stream=0)
@@ -248,7 +300,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_chain(ds.y, mcfg, RngStream(seed=seed, stream=2), kind,
                        iters=conf["iters"], burnin=conf["burnin"],
                        init_labels=init, L=L,
-                       time_budget_s=conf.get("time_budget_s", 1.0))
+                       time_budget_s=budget)
     _trace_to_csv(out / "trace.csv", result.records)
 
     summary = {
@@ -266,12 +318,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         spent = sum(r.elapsed_ns for r in result.records) / 1e9
         summary["infeasibility"] = {
             "completed_iters": len(result.records),
-            "budget_s": conf.get("time_budget_s", 1.0),
+            "budget_s": budget,
             "spent_s": spent,
         }
         _write_json(out / "summary.json", summary)
         print(f"INFEASIBLE: first {len(result.records)} iterations took "
-              f"{spent:.2f}s (budget {conf.get('time_budget_s', 1.0)}s)")
+              f"{spent:.2f}s (budget {budget}s)")
         return 2
 
     _snapshots_to_csv(out / "partitions.csv", result.snapshot_iters,
@@ -366,7 +418,6 @@ DEFAULT_BENCHMARK_GRID = (
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
-    out = _outdir(conf)
     bench = conf.get("benchmark", {})
     grid = bench.get("grid", [dict(c) for c in DEFAULT_BENCHMARK_GRID])
     cells = []
@@ -383,6 +434,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         cell["index"] = idx
         _check_sweeps(cell, f"benchmark cell {idx} ")
         cells.append(cell)
+    out = _outdir(conf)
     rows = _map_cells(_benchmark_cell, cells, conf["threads"])
     path = out / "benchmark.csv"
     with open(path, "w", newline="") as fh:
@@ -425,26 +477,36 @@ def _verify_cell(cell: dict) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
     vconf = conf.get("verify", {})
-    alphas = vconf.get("alphas", [0.5, 1.0, 5.0])
-    ns = vconf.get("ns", [100, 1_000, 10_000])
-    deltas = vconf.get("deltas", [0.1, 0.01])
-    spec = vconf.get("spec", "singleton")
-    replicates = int(vconf.get("replicates", 100_000))
-    tails_at = vconf.get("tails_at", [[1_000, 1.0]])
-    checks = vconf.get("checks", list(VERIFY_CHECKS))
-    mconf = vconf.get("merge", {})
-    n_merge = int(mconf.get("n", 6))
-    seed = conf["seed"]
-    if (not isinstance(checks, list) or not checks
-            or any(c not in VERIFY_CHECKS for c in checks)):
-        raise ValueError(f"verify.checks must be a nonempty list of names "
-                         f"from {list(VERIFY_CHECKS)}; got {checks!r}")
+    checks = _list_of(vconf.get("checks", list(VERIFY_CHECKS)), "verify.checks",
+                      VERIFY_CHECKS.__contains__,
+                      f"names from {list(VERIFY_CHECKS)}")
+    alphas = _list_of(vconf.get("alphas", [0.5, 1.0, 5.0]), "verify.alphas",
+                      _positive, "positive numbers")
+    ns = _list_of(vconf.get("ns", [100, 1_000, 10_000]), "verify.ns",
+                  _is_integer, "integers")
     if any(n < 2 for n in ns):
         raise ValueError(f"verify.ns must all be >= 2, since the bounds scale "
                          f"with log n; got {ns}")
-    if "merge" in checks and n_merge < 2:
-        raise ValueError(f"verify.merge.n must be >= 2, since the merge chain "
-                         f"starts from n singletons; got {n_merge}")
+    deltas = _list_of(vconf.get("deltas", [0.1, 0.01]), "verify.deltas",
+                      lambda d: _is_number(d) and 0.0 < d < 1.0,
+                      "numbers in (0, 1)")
+    tails_at = _list_of(vconf.get("tails_at", [[1_000, 1.0]]), "verify.tails_at",
+                        lambda p: isinstance(p, list) and len(p) == 2,
+                        "[n, alpha] pairs", nonempty=False)
+    spec = vconf.get("spec", "singleton")
+    replicates = _integer(vconf.get("replicates", 100_000),
+                          "verify.replicates", 1)
+    mconf = vconf.get("merge", {})
+    pconf = vconf.get("poisson", {})
+    if "merge" in checks:
+        n_merge = _integer(mconf.get("n", 6), "verify.merge.n", 2,
+                           ", since the merge chain starts from n singletons")
+        m_merge = _integer(mconf.get("replicates", 1_000_000),
+                           "verify.merge.replicates", 1)
+    if "poisson" in checks:
+        m_poisson = _integer(pconf.get("replicates", 100_000),
+                             "verify.poisson.replicates", 2)
+    seed = conf["seed"]
 
     cells = []
     for idx, (alpha, n) in enumerate(itertools.product(alphas, ns)):
@@ -475,27 +537,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
             all_pass = all_pass and res["tails"]["passed"]
 
     if "merge" in checks:
-        x_grid = mconf.get("x_grid", [1e-3, 1e-2, 0.05])
-        m = int(mconf.get("replicates", 1_000_000))
-        alpha_m = float(mconf.get("alpha", 1.0))
         rng = RngStream(seed=seed, stream=50_000)
         chain = []
         sizes = [1] * n_merge
         while len(sizes) > 1:
-            rep = check_merge_monotonicity(rng, sizes, 1, 2, x_grid, m,
-                                           alpha=alpha_m)
+            rep = check_merge_monotonicity(rng, sizes, 1, 2, MERGE_X_GRID,
+                                           m_merge, alpha=MERGE_ALPHA)
             chain.append(rep.to_dict())
             all_pass = all_pass and rep.passed
             sizes = sorted((int(v) for v in rep.merged_sizes), reverse=True)
         report["merge_chain"] = chain
 
     if "poisson" in checks:
-        pconf = vconf.get("poisson", {})
-        x = float(pconf.get("x", math.exp(-1.0)))
-        alpha_p = float(pconf.get("alpha", 2.0))
-        m = int(pconf.get("replicates", 100_000))
         rng = RngStream(seed=seed, stream=60_000)
-        rep = check_poisson_stick_law(rng, x, alpha_p, m)
+        rep = check_poisson_stick_law(rng, POISSON_X, POISSON_ALPHA, m_poisson)
         report["poisson"] = rep.to_dict()
         all_pass = all_pass and rep.passed
 
@@ -518,21 +573,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
-    out = _outdir(conf)
     oconf = conf.get("oracle", {})
-    n = int(oconf.get("n", 6))
+    n = _integer(oconf.get("n", 6), "oracle.n", 3,
+                 ", since the data set has three clusters")
     if n > MAX_ENUM_N:
-        print(f"oracle comparison needs n <= {MAX_ENUM_N}, got {n}",
-              file=sys.stderr)
-        return 2
-    alpha = float(oconf.get("alpha", 1.0))
-    sweeps = int(oconf.get("sweeps", 50_000))
-    burnin = int(oconf.get("burnin", 1_000))
-    tv_limit = float(oconf.get("tv_limit", 0.1))
-    samplers = oconf.get("samplers", ["slice", "slice-marginal", "crp-atoms",
-                                      "crp-collapsed"])
-    bgs_levels = oconf.get("bgs_L", [2, n])
+        raise ValueError(f"oracle.n must be <= {MAX_ENUM_N}, the largest n "
+                         f"whose posterior is enumerated; got {n}")
+    alpha = float(_number(oconf.get("alpha", 1.0), "oracle.alpha", _positive,
+                          "a positive number"))
+    sweeps = _integer(oconf.get("sweeps", 50_000), "oracle.sweeps", 1)
+    burnin = _integer(oconf.get("burnin", 1_000), "oracle.burnin", 0)
+    tv_limit = float(_number(oconf.get("tv_limit", 0.1), "oracle.tv_limit",
+                             _positive, "a positive number"))
+    samplers = _list_of(oconf.get("samplers", list(EXACT_KINDS)),
+                        "oracle.samplers", EXACT_KINDS.__contains__,
+                        f"exact sampler kinds from {list(EXACT_KINDS)}")
+    bgs_levels = _list_of(oconf.get("bgs_L", [2, n]), "oracle.bgs_L",
+                          lambda L: True, "truncation levels", nonempty=False)
+    for L in bgs_levels:
+        try:
+            make_sweep(SamplerKind.BLOCKED_GIBBS, L)
+        except ValueError as exc:
+            raise ValueError(f"oracle.bgs_L: {exc}") from None
     seed = conf["seed"]
+    out = _outdir(conf)
 
     ds = make_dataset("three-cluster", RngStream(seed=seed, stream=0), n)
     mcfg = _model_config({**conf, "alpha_fixed": alpha})

@@ -34,7 +34,7 @@ def gen_three_clusters(rng: RngStream, n: int):
         raise ValueError("need n >= 3 for three clusters")
     labels = (np.arange(n, dtype=LABEL_DTYPE) % 3) + 1
     means = np.asarray(THREE_CLUSTER_MEANS)[labels - 1]
-    y = rng.gen.normal(means, 1.0)
+    y = rng.normal(means, 1.0)
     return y, labels
 
 
@@ -56,14 +56,14 @@ def gen_perturbed_zipf(rng: RngStream, n: int, max_label: int = ZIPF_MAX_LABEL,
     if n < 1:
         raise ValueError("need n >= 1")
     p = zipf_probabilities(max_label, exponent)
-    labels = (rng.gen.choice(max_label, size=n, p=p) + 1).astype(LABEL_DTYPE)
-    y = rng.gen.normal(separation * labels, 1.0)
+    labels = (rng.choice(max_label, size=n, p=p) + 1).astype(LABEL_DTYPE)
+    y = rng.normal(separation * labels, 1.0)
     return y, labels
 
 
 def _kmeanspp_centers(y: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
     centers = np.empty(k)
-    centers[0] = y[rng.gen.integers(y.size)]
+    centers[0] = y[rng.integers(y.size)]
     d2 = (y - centers[0]) ** 2
     for j in range(1, k):
         total = d2.sum()
@@ -71,7 +71,7 @@ def _kmeanspp_centers(y: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
             # all remaining mass on duplicated points; any choice is optimal
             centers[j:] = centers[0]
             return centers
-        centers[j] = y[rng.gen.choice(y.size, p=d2 / total)]
+        centers[j] = y[rng.choice(y.size, p=d2 / total)]
         d2 = np.minimum(d2, (y - centers[j]) ** 2)
     return centers
 

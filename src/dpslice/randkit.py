@@ -1,15 +1,15 @@
 """Seedable random streams and the elementary draws used by the samplers.
 
-Every stochastic routine in the package receives an explicit :class:`RngStream`
-so that a (seed, stream) pair reproduces a run bit for bit and distinct stream
-ids give independent sequences (numpy ``SeedSequence`` spawn-key guarantees).
+Every stochastic routine in the package receives an explicit :class:`RngStream`,
+a numpy ``Generator`` keyed by a (seed, stream) pair, and draws from it
+directly. A pair reproduces a run bit for bit and distinct stream ids give
+independent sequences (numpy ``SeedSequence`` spawn-key guarantees).
 Beta and Dirichlet outputs are clamped away from 0 and 1 so that downstream
 logs and slice intervals stay finite.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +25,12 @@ _MAX_SEED = 2**64
 
 class NoValidCategoryError(ValueError):
     """Raised when a categorical draw is requested over an empty or fully
-    degenerate (all minus-infinity) set of log weights."""
+    degenerate (all minus-infinity or NaN) set of log weights."""
 
 
-@dataclass
-class RngStream:
-    """Counter-keyed random stream.
+class RngStream(np.random.Generator):
+    """Counter-keyed random stream: a numpy ``Generator`` over PCG64 seeded
+    from ``SeedSequence(entropy=seed, spawn_key=(stream,))``.
 
     Parameters
     ----------
@@ -41,21 +41,15 @@ class RngStream:
         for the same seed.
     """
 
-    seed: int
-    stream: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be an integer in [0, 2**64): {self.seed!r}")
-        if not isinstance(self.stream, (int, np.integer)) or self.stream < 0:
-            raise ValueError(f"stream must be a nonnegative integer: {self.stream!r}")
-        ss = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream),))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    @property
-    def gen(self) -> np.random.Generator:
-        return self._gen
+    def __init__(self, seed: int, stream: int = 0) -> None:
+        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _MAX_SEED:
+            raise ValueError(f"seed must be an integer in [0, 2**64): {seed!r}")
+        if not isinstance(stream, (int, np.integer)) or stream < 0:
+            raise ValueError(f"stream must be a nonnegative integer: {stream!r}")
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
+        super().__init__(np.random.PCG64(ss))
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -71,7 +65,7 @@ def sample_beta(rng: RngStream, a: float, b: float) -> float:
     b = _require_finite("b", b)
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"Beta shapes must be positive, got ({a}, {b})")
-    x = rng.gen.beta(a, b)
+    x = rng.beta(a, b)
     return float(min(max(x, WEIGHT_FLOOR), WEIGHT_CEIL))
 
 
@@ -81,7 +75,7 @@ def sample_gamma(rng: RngStream, shape: float, rate: float) -> float:
     rate = _require_finite("rate", rate)
     if shape <= 0.0 or rate <= 0.0:
         raise ValueError(f"Gamma parameters must be positive, got ({shape}, {rate})")
-    x = rng.gen.gamma(shape, 1.0 / rate)
+    x = rng.gamma(shape, 1.0 / rate)
     return float(max(x, WEIGHT_FLOOR))
 
 
@@ -90,7 +84,7 @@ def sample_normal(rng: RngStream, mean: float, variance: float) -> float:
     variance = _require_finite("variance", variance)
     if variance <= 0.0:
         raise ValueError(f"variance must be positive, got {variance}")
-    return float(rng.gen.normal(mean, math.sqrt(variance)))
+    return float(rng.normal(mean, math.sqrt(variance)))
 
 
 def clamp_weights(w: np.ndarray) -> np.ndarray:
@@ -119,7 +113,7 @@ def sample_dirichlet(rng: RngStream, concentration, batch: int | None = None) ->
     if batch is not None and batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     size = None if batch is None else (batch, conc.size)
-    g = rng.gen.standard_gamma(conc, size=size)
+    g = rng.standard_gamma(conc, size=size)
     np.maximum(g, WEIGHT_FLOOR, out=g)
     g /= g.sum(axis=-1, keepdims=True)
     clamp_weights(g)
@@ -138,7 +132,7 @@ def sample_categorical_logweights(rng: RngStream, logweights):
     proportional to the number of candidates: the slice and sequential
     passes call it once per observation with a short candidate list. A 2-D
     array of shape (K, m) holds m draws, the candidates of each down axis 0,
-    and the m draws share one ``gen.random(m)`` call (see
+    and the m draws share one ``rng.random(m)`` call (see
     :func:`_categorical_columns`).
 
     Returns
@@ -148,13 +142,13 @@ def sample_categorical_logweights(rng: RngStream, logweights):
     """
     if type(logweights) is np.ndarray and logweights.ndim == 2:
         return _categorical_columns(rng, logweights)
+    # NaN entries never raise mx, so an empty, all -inf or all-NaN list
+    # leaves it at -inf
     mx = -math.inf
-    m = 0
     for w in logweights:
         if w > mx:
             mx = w
-        m += 1
-    if m == 0 or mx == -math.inf or math.isnan(mx):
+    if mx == -math.inf:
         raise NoValidCategoryError("no category with positive weight")
     total = 0.0
     cum = []
@@ -164,7 +158,7 @@ def sample_categorical_logweights(rng: RngStream, logweights):
         cum.append(total)
     if total <= 0.0:
         raise NoValidCategoryError("all categorical weights underflowed")
-    r = rng.gen.random() * total
+    r = rng.random() * total
     for k, c in enumerate(cum):
         if c > r:
             return k
@@ -187,7 +181,7 @@ def _categorical_columns(rng: RngStream, logweights: np.ndarray) -> np.ndarray:
     column (``np.add.accumulate`` adds in order, as the loop does), the
     first entry strictly above u * total, and the last category with mass
     when u * total rounds up to the total. The uniforms come from one
-    ``gen.random(m)`` call, which yields the numbers m scalar calls would.
+    ``rng.random(m)`` call, which yields the numbers m scalar calls would.
     So a column picks what the scalar loop picks and leaves the stream where
     m scalar calls leave it, up to ``np.exp`` and ``math.exp`` differing in
     the last bit, which changes a pick only when the uniform falls within
@@ -203,7 +197,7 @@ def _categorical_columns(rng: RngStream, logweights: np.ndarray) -> np.ndarray:
     np.copyto(mass, 0.0, where=cut)
     # each column's maximum adds exp(0) = 1, so every total is at least 1
     cum = np.add.accumulate(mass, axis=0, out=mass)
-    r = rng.gen.random(m)
+    r = rng.random(m)
     r *= cum[-1]
     idx = k - np.add.reduce(cum > r, axis=0)
     if idx.max(initial=0) == k:

@@ -132,7 +132,7 @@ def sample_atoms_conjugate(rng: RngStream, data, partition: Partition,
     sums = np.bincount(partition.labels, weights=y,
                        minlength=partition.num_blocks + 1)[1:]
     mean, var = _posterior(partition.sizes, sums, _conjugate_prior(cfg))
-    return rng.gen.normal(mean, np.sqrt(var))
+    return rng.normal(mean, np.sqrt(var))
 
 
 def sample_slices(rng: RngStream, partition: Partition, allocated):
@@ -146,12 +146,12 @@ def sample_slices(rng: RngStream, partition: Partition, allocated):
     wi = np.asarray(allocated, dtype=float).take(partition.labels - 1, axis=-1)
     if wi.size == 0 or np.any(wi <= 0.0):
         raise InconsistentStateError("slice interval requires positive weights")
-    u = rng.gen.random(wi.shape)
+    u = rng.random(wi.shape)
     u *= wi
     umin = u.min(-1)
     while (umin <= 0.0).any():
         zero = u <= 0.0
-        u[zero] = wi[zero] * rng.gen.random(int(zero.sum()))
+        u[zero] = wi[zero] * rng.random(int(zero.sum()))
         umin = u.min(-1)
     return u, float(umin) if u.ndim == 1 else umin
 
@@ -211,7 +211,6 @@ def _extend_masked(rng: RngStream, residual: np.ndarray, umin: np.ndarray,
     replicates that are done. With one replicate it consumes the stream
     exactly as the scalar loop does with ``with_atoms=False``.
     """
-    gen = rng.gen
     final = residual.copy()
     counts = np.zeros(residual.size, dtype=np.int64)
     idx = np.flatnonzero(residual > umin)
@@ -221,7 +220,7 @@ def _extend_masked(rng: RngStream, residual: np.ndarray, umin: np.ndarray,
     while idx.size:
         if steps >= cfg.max_extension:
             raise RunawayExtensionError(umin=float(lo.min()), cap=cfg.max_extension)
-        v = clamp_weights(gen.beta(1.0, alpha, idx.size))
+        v = clamp_weights(rng.beta(1.0, alpha, idx.size))
         r -= v * r
         steps += 1
         done = r <= lo
@@ -250,7 +249,7 @@ def update_alpha_escobar_west(rng: RngStream, alpha: float, n: int,
     eta = sample_beta(rng, alpha + 1.0, float(n))
     rate = b - math.log(eta)
     odds = (a + num_clusters - 1.0) / (n * rate)
-    shape = a + num_clusters if rng.gen.random() < odds / (1.0 + odds) \
+    shape = a + num_clusters if rng.random() < odds / (1.0 + odds) \
         else a + num_clusters - 1.0
     return sample_gamma(rng, shape, rate)
 
@@ -496,7 +495,7 @@ def bgs_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
         else:
             w = sample_dirichlet(rng, counts + alpha / L)
         mean, var = _posterior(counts, sums, _conjugate_prior(cfg))
-        atoms = rng.gen.normal(mean, np.sqrt(var))
+        atoms = rng.normal(mean, np.sqrt(var))
 
         logpi = np.log(w)[:, None]
         atoms_col = atoms[:, None]
@@ -651,8 +650,8 @@ def prior_generative_sweep(state: MixtureState, cfg: ModelConfig,
     part = state.partition
     alpha = float(cfg.alpha_fixed) if cfg.alpha_fixed is not None else state.alpha
     allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
-    atoms_occ = rng.gen.normal(cfg.base_mean, math.sqrt(cfg.base_var),
-                               part.num_blocks)
+    atoms_occ = rng.normal(cfg.base_mean, math.sqrt(cfg.base_var),
+                           part.num_blocks)
     slices, umin = sample_slices(rng, part, allocated)
     tail_w, tail_atoms, resid_end = extend_components(rng, residual, umin,
                                                       alpha, cfg)
@@ -664,7 +663,7 @@ def prior_generative_sweep(state: MixtureState, cfg: ModelConfig,
     k_total = all_w.size
     raw = np.empty(part.n, dtype=LABEL_DTYPE)
     for i, p in enumerate(pos):
-        raw[i] = order_l[p + int(rng.gen.integers(k_total - p))] + 1
+        raw[i] = order_l[p + int(rng.integers(k_total - p))] + 1
     newpart, origin = relabel_compact_with_map(raw)
     wstate, new_atoms = _occupied_first(origin, all_w, all_atoms, resid_end)
     return MixtureState(partition=newpart, alpha=alpha, weights=wstate,

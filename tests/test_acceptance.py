@@ -287,7 +287,7 @@ def test_criterion_9_property_bundle():
 
     # Compactness: relabeling is canonical and idempotent.
     for _ in range(200):
-        raw = rng.gen.integers(1, 7, size=12)
+        raw = rng.integers(1, 7, size=12)
         part = relabel_compact(raw)
         part.validate()
         assert np.array_equal(np.unique(part.labels),

@@ -270,7 +270,7 @@ class TestSimulateUmin:
         # construction that shares no code with either.
         m = 40_000
         sizes = [1] * 6
-        ref = _reference_umin(RngStream(seed=91, stream=2).gen, sizes, 1.0, m)
+        ref = _reference_umin(RngStream(seed=91, stream=2), sizes, 1.0, m)
         fast = simulate_umin(RngStream(seed=91, stream=0), sizes, 1.0, m)
         ops = simulate_overhead(RngStream(seed=91, stream=1), 6, "singleton", 1.0, m).umin
         for draws in (fast, ops):

@@ -233,6 +233,14 @@ class TestRun:
         assert f"error: {key} must be {reason}" in capsys.readouterr().err
         assert not (tmp_path / "badcount").exists()
 
+    @pytest.mark.parametrize("budget", ["60", True, -1.0])
+    def test_bad_time_budget_is_config_error(self, tmp_path, capsys, budget):
+        conf = _run_config(tmp_path, "badbudget", time_budget_s=budget)
+        assert main(["run", "--config", _write_config(tmp_path, conf)]) == 2
+        assert "error: time_budget_s must be a number >= 0" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "badbudget").exists()
+
     def test_coclustering_export_can_be_disabled(self, tmp_path):
         conf = _run_config(tmp_path, "nococl", write_coclustering=False)
         cfg = _write_config(tmp_path, conf)
@@ -319,6 +327,20 @@ class TestBenchmark:
         assert f"error: benchmark cell 0 {key} must be an integer" \
             in capsys.readouterr().err
         assert not (tmp_path / "bench6" / "benchmark.csv").exists()
+
+    @pytest.mark.parametrize("where", ["cell", "benchmark"])
+    def test_bad_time_budget_is_config_error(self, tmp_path, capsys, where):
+        grid = [{"sampler": "slice", "n": 20}]
+        cfg = self._bench_conf(tmp_path, "bench7", grid)
+        conf = json.loads(open(cfg).read())
+        if where == "cell":
+            conf["benchmark"]["grid"][0]["time_budget_s"] = "60"
+        else:
+            conf["benchmark"]["time_budget_s"] = "60"
+        assert main(["benchmark", "--config", _write_config(tmp_path, conf)]) == 2
+        assert "error: benchmark cell 0 time_budget_s must be a number >= 0" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "bench7").exists()
 
     def test_thread_count_does_not_change_results(self, tmp_path):
         grid = [{"sampler": "slice", "n": 24}, {"sampler": "crp-atoms", "n": 24}]
@@ -440,6 +462,32 @@ class TestVerify:
             in capsys.readouterr().err
         assert not (tmp_path / "ver8" / "verify.json").exists()
 
+    @pytest.mark.parametrize("key,value,checks", [
+        ("ns", ["100"], ["overhead"]), ("ns", [50.5], ["overhead"]),
+        ("ns", [], ["overhead"]), ("alphas", [], ["overhead"]),
+        ("deltas", [], ["overhead"]), ("deltas", [], ["tails"]),
+        ("tails_at", [50, 1.0], ["tails"]),
+        ("replicates", "1000", ["overhead"]), ("replicates", 2.7, ["overhead"]),
+        ("merge", {"n": 3, "replicates": "1000"}, ["merge"]),
+        ("poisson", {"replicates": 2.5}, ["poisson"])])
+    def test_malformed_setting_is_config_error(self, tmp_path, capsys,
+                                               monkeypatch, key, value, checks):
+        import dpslice.cli as cli
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation ran before the config was checked")
+
+        monkeypatch.setattr(cli, "simulate_overhead", no_simulation)
+        vconf = {"alphas": [1.0], "ns": [50], "deltas": [0.1],
+                 "replicates": 1000, "tails_at": [[50, 1.0]],
+                 "checks": checks, key: value}
+        cfg = _write_config(tmp_path, {"verify": vconf,
+                                       "out": str(tmp_path / "ver9")})
+        assert main(["verify", "--config", cfg]) == 2
+        name = key if key not in ("merge", "poisson") else f"{key}.replicates"
+        assert f"error: verify.{name} must be" in capsys.readouterr().err
+        assert not (tmp_path / "ver9" / "verify.json").exists()
+
     def test_n_below_two_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
             "verify": {"alphas": [1.0], "ns": [1, 50], "deltas": [0.1],
@@ -483,6 +531,27 @@ class TestOracle:
             "out": str(tmp_path / "oracle2"),
         })
         assert main(["oracle", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("samplers", []), ("samplers", ["bgs"]), ("samplers", ["slices"]),
+        ("bgs_L", [0]), ("bgs_L", [2.5]), ("n", 13), ("n", 2), ("n", "4"),
+        ("alpha", "1.0"), ("sweeps", 200.5), ("burnin", "10"),
+        ("tv_limit", "0.2")])
+    def test_malformed_setting_is_config_error(self, tmp_path, capsys,
+                                               monkeypatch, key, value):
+        import dpslice.cli as cli
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran before the config was checked")
+
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        oconf = {"n": 4, "sweeps": 200, "burnin": 10, "samplers": ["slice"],
+                 "bgs_L": [2], key: value}
+        cfg = _write_config(tmp_path, {"oracle": oconf,
+                                       "out": str(tmp_path / "oracle3")})
+        assert main(["oracle", "--config", cfg]) == 2
+        assert f"error: oracle.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "oracle3" / "oracle_exact.csv").exists()
 
 
 class TestModelConfig:

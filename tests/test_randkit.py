@@ -28,10 +28,9 @@ def draws(fn, rng, m=M):
 
 
 class _FixedUniform:
-    """Stub stream whose generator returns one fixed uniform."""
+    """Stub stream that returns one fixed uniform."""
 
     def __init__(self, value: float):
-        self.gen = self
         self.value = value
 
     def random(self) -> float:
@@ -39,11 +38,10 @@ class _FixedUniform:
 
 
 class _ListedUniforms:
-    """Stub stream whose generator hands out the given uniforms in order,
+    """Stub stream that hands out the given uniforms in order,
     one per scalar call and m per ``random(m)`` call."""
 
     def __init__(self, values):
-        self.gen = self
         self.values = list(values)
 
     def random(self, size=None):
@@ -80,19 +78,19 @@ class TestRngStream:
     def test_same_seed_same_stream_bitwise_identical(self):
         a = RngStream(seed=42, stream=3)
         b = RngStream(seed=42, stream=3)
-        assert [a.gen.random() for _ in range(100)] == \
-               [b.gen.random() for _ in range(100)]
+        assert [a.random() for _ in range(100)] == \
+               [b.random() for _ in range(100)]
 
     def test_distinct_streams_differ(self):
         a = RngStream(seed=42, stream=0)
         b = RngStream(seed=42, stream=1)
-        assert [a.gen.random() for _ in range(10)] != \
-               [b.gen.random() for _ in range(10)]
+        assert [a.random() for _ in range(10)] != \
+               [b.random() for _ in range(10)]
 
     def test_distinct_seeds_differ(self):
         a = RngStream(seed=1, stream=0)
         b = RngStream(seed=2, stream=0)
-        assert a.gen.random() != b.gen.random()
+        assert a.random() != b.random()
 
     @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
            stream=st.integers(min_value=0, max_value=2**32))
@@ -103,6 +101,18 @@ class TestRngStream:
         assert sample_beta(a, 1.0, 2.0) == sample_beta(b, 1.0, 2.0)
         assert sample_gamma(a, 3.0, 1.5) == sample_gamma(b, 3.0, 1.5)
         assert sample_normal(a, 0.0, 2.0) == sample_normal(b, 0.0, 2.0)
+
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (42, 3), (2**64 - 1, 7),
+                                             (12345, 60_000)])
+    def test_is_generator_keyed_by_spawn_key(self, seed, stream):
+        # every recorded digest depends on this keying
+        rng = RngStream(seed=seed, stream=stream)
+        ref = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
+        assert isinstance(rng, np.random.Generator)
+        assert rng.random(5).tolist() == ref.random(5).tolist()
+        assert rng.beta(1.0, 2.0, 3).tolist() == ref.beta(1.0, 2.0, 3).tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("seed,stream", [(-1, 0), (2**64, 0), (0, -2),
                                              (1.5, 0), (0, 0.5)])
@@ -280,6 +290,17 @@ class TestCategorical:
         with pytest.raises(NoValidCategoryError):
             sample_categorical_logweights(RngStream(seed=0), [])
 
+    def test_nan_entries_never_drawn(self):
+        rng = RngStream(seed=55)
+        nan = math.nan
+        for logw in ([nan, 0.0], [0.0, nan], [nan, 0.0, nan, 1.0, nan]):
+            for _ in range(2000):
+                assert not math.isnan(logw[sample_categorical_logweights(rng, logw)])
+        for u in (0.0, 1.0):
+            assert sample_categorical_logweights(_FixedUniform(u), [nan, 0.0, nan]) == 1
+        with pytest.raises(NoValidCategoryError):
+            sample_categorical_logweights(rng, [nan, nan])
+
     def test_zero_uniform_skips_zero_mass_first_category(self):
         # r = 0 must not select a leading category whose mass underflowed
         rng = _FixedUniform(0.0)
@@ -319,7 +340,7 @@ class TestCategoricalColumns:
         idx = sample_categorical_logweights(a, logw)
         assert idx.shape == (m,)
         assert idx.tolist() == _scalar_columns(b, logw)
-        assert a.gen.bit_generator.state == b.gen.bit_generator.state
+        assert a.bit_generator.state == b.bit_generator.state
         # never an entry without mass
         shift = logw[idx, np.arange(m)] - logw.max(axis=0)
         assert np.all(shift > LOG_UNDERFLOW)

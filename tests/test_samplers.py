@@ -267,7 +267,7 @@ class TestReplicateAxis:
         u_1, umin_1 = sample_slices(a, part, alloc_1)
         u_b, umin_b = sample_slices(b, part, alloc_b)
         assert np.array_equal(u_b[0], u_1) and umin_b[0] == umin_1
-        assert a.gen.bit_generator.state == b.gen.bit_generator.state
+        assert a.bit_generator.state == b.bit_generator.state
 
     @given(residual=st.floats(min_value=1e-3, max_value=1.0),
            umin=st.floats(min_value=1e-12, max_value=0.5),
@@ -283,7 +283,7 @@ class TestReplicateAxis:
                                         np.array([umin]), alpha, CFG)
         assert counts.tolist() == [len(tail_w)]
         assert finals.tolist() == [final]
-        assert a.gen.bit_generator.state == b.gen.bit_generator.state
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_counts_follow_shifted_poisson_oracle(self):
         # Independent oracle: -log(1 - V) with V ~ Beta(1, alpha) is
@@ -329,7 +329,6 @@ class TestReplicateAxis:
             """Stream whose first uniform array is all zeros."""
 
             def __init__(self):
-                self.gen = self
                 self.calls = 0
 
             def random(self, size):
@@ -664,7 +663,7 @@ class TestMarginalPredictive:
                                         slices, cfg)
         assert got == _reference_marginal_pass(b, y_l, part.labels.tolist(),
                                                all_w, slices, cfg)
-        assert a.gen.random() == b.gen.random()
+        assert a.random() == b.random()
 
     def test_array_posterior_equals_scalar_posterior(self):
         prior = _conjugate_prior(ModelConfig(sigma2=0.7, base_mean=0.5,
