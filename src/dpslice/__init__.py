@@ -9,7 +9,6 @@ from .core import (
     Partition,
     RunawayExtensionError,
     TraceRecord,
-    WeightState,
     log_likelihood,
     rand_index,
     relabel_compact,
@@ -63,6 +62,7 @@ from .datagen import (
 from .bounds import (
     BoundConstants,
     check_exponential_tail,
+    check_merge_chain,
     check_merge_monotonicity,
     check_overhead_bound,
     check_poisson_stick_law,

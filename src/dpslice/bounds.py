@@ -344,6 +344,20 @@ def check_merge_monotonicity(rng: RngStream, sizes, r: int, s: int, x_grid,
                        steps=tuple(steps), replicates=replicates, passed=ok)
 
 
+def check_merge_chain(rng: RngStream, n: int, x_grid, replicates: int,
+                      alpha: float = 1.0) -> list[MergeReport]:
+    """The merge check at each of the n - 1 merges from n singletons to one
+    block, each merging the two largest blocks: 1^n, 2 1^(n-2), ..., n."""
+    if n < 2:
+        raise ValueError(f"the merge chain needs n >= 2, got {n}")
+    chain, sizes = [], [1] * n
+    while len(sizes) > 1:
+        chain.append(check_merge_monotonicity(rng, sizes, 1, 2, x_grid,
+                                              replicates, alpha=alpha))
+        sizes = sorted(chain[-1].merged_sizes, reverse=True)
+    return chain
+
+
 @dataclass(frozen=True)
 class PoissonCheckReport(_Report):
     x: float

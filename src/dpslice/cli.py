@@ -26,7 +26,8 @@ import numpy as np
 
 from .bounds import (
     check_exponential_tail,
-    check_merge_monotonicity,
+    check_merge_chain,
+    check_merge_monotonicity,  # not called here; perfbench patches it on this module
     check_overhead_bound,
     check_poisson_stick_law,
     overhead_bound_constants,
@@ -149,6 +150,13 @@ def _list_of(values, key: str, ok, what: str, nonempty: bool = True) -> list:
     return values
 
 
+def _object(value, key: str) -> dict:
+    """``value`` if it is a JSON object, else a config error naming ``key``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
 def _positive(value) -> bool:
     return _is_number(value) and 0.0 < value < math.inf
 
@@ -171,14 +179,18 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _drawn_dataset(spec: dict, key: str, rng: RngStream) -> Dataset:
+    """``make_dataset``'s draw for the config object ``spec`` at ``key``."""
+    return make_dataset(spec["kind"], rng, _integer(spec["n"], f"{key}.n", 1),
+                        **_object(spec.get("params", {}), f"{key}.params"))
+
+
 def _dataset_from_conf(conf: dict, seed: int, stream: int) -> Dataset:
-    dconf = conf.get("dataset", {})
+    dconf = _object(conf.get("dataset", {}), "dataset")
     if "path" in dconf:
         return load_dataset(dconf["path"])
-    kind = dconf.get("kind", "three-cluster")
-    n = int(dconf.get("n", 600))
-    params = dict(dconf.get("params", {}))
-    return make_dataset(kind, RngStream(seed=seed, stream=stream), n, **params)
+    return _drawn_dataset({"kind": "three-cluster", "n": 600, **dconf},
+                          "dataset", RngStream(seed=seed, stream=stream))
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +199,17 @@ def _dataset_from_conf(conf: dict, seed: int, stream: int) -> Dataset:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
-    out = _outdir(conf)
-    specs = conf.get("datasets",
-                     [{"kind": "three-cluster", "n": 150},
-                      {"kind": "zipf", "n": 300}])
+    specs = _list_of(conf.get("datasets", [{"kind": "three-cluster", "n": 150},
+                                           {"kind": "zipf", "n": 300}]),
+                     "datasets", lambda spec: isinstance(spec, dict),
+                     "JSON objects", nonempty=False)
     seed = conf["seed"]
-    for idx, spec in enumerate(specs):
-        kind = spec["kind"]
-        n = int(spec["n"])
-        params = dict(spec.get("params", {}))
-        ds = make_dataset(kind, RngStream(seed=seed, stream=idx), n, **params)
-        name = spec.get("name", f"{kind}_n{n}")
+    made = [(spec, _drawn_dataset(spec, f"datasets[{idx}]",
+                                  RngStream(seed=seed, stream=idx)))
+            for idx, spec in enumerate(specs)]
+    out = _outdir(conf)
+    for spec, ds in made:
+        name = spec.get("name", f"{spec['kind']}_n{ds.n}")
         path = out / f"{name}.csv"
         save_dataset(ds, path)
         print(f"wrote {path} ({ds.n} rows, {int(np.unique(ds.labels).size)} true clusters)")
@@ -284,7 +296,6 @@ def _chain_start(y, kind: SamplerKind, L, rng: RngStream):
 def cmd_run(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
     budget = _check_sweeps(conf)
-    out = _outdir(conf)
     seed = conf["seed"]
     ds = _dataset_from_conf(conf, seed, stream=0)
     mcfg = _model_config(conf).resolved_for(ds.n)
@@ -297,6 +308,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     kind = SamplerKind(sconf.get("kind", "slice"))
     L, init = _chain_start(ds.y, kind, sconf.get("L"),
                            RngStream(seed=seed, stream=1))
+    out = _outdir(conf)
     result = run_chain(ds.y, mcfg, RngStream(seed=seed, stream=2), kind,
                        iters=conf["iters"], burnin=conf["burnin"],
                        init_labels=init, L=L,
@@ -418,8 +430,10 @@ DEFAULT_BENCHMARK_GRID = (
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
-    bench = conf.get("benchmark", {})
-    grid = bench.get("grid", [dict(c) for c in DEFAULT_BENCHMARK_GRID])
+    bench = _object(conf.get("benchmark", {}), "benchmark")
+    grid = _list_of(bench.get("grid", [dict(c) for c in DEFAULT_BENCHMARK_GRID]),
+                    "benchmark.grid", lambda g: isinstance(g, dict),
+                    "JSON objects", nonempty=False)
     cells = []
     for idx, g in enumerate(grid):
         cell = {key: conf[key] for key in MODEL_KEYS if key in conf}
@@ -476,7 +490,7 @@ def _verify_cell(cell: dict) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
-    vconf = conf.get("verify", {})
+    vconf = _object(conf.get("verify", {}), "verify")
     checks = _list_of(vconf.get("checks", list(VERIFY_CHECKS)), "verify.checks",
                       VERIFY_CHECKS.__contains__,
                       f"names from {list(VERIFY_CHECKS)}")
@@ -496,8 +510,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = vconf.get("spec", "singleton")
     replicates = _integer(vconf.get("replicates", 100_000),
                           "verify.replicates", 1)
-    mconf = vconf.get("merge", {})
-    pconf = vconf.get("poisson", {})
+    mconf = _object(vconf.get("merge", {}), "verify.merge")
+    pconf = _object(vconf.get("poisson", {}), "verify.poisson")
     if "merge" in checks:
         n_merge = _integer(mconf.get("n", 6), "verify.merge.n", 2,
                            ", since the merge chain starts from n singletons")
@@ -537,16 +551,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             all_pass = all_pass and res["tails"]["passed"]
 
     if "merge" in checks:
-        rng = RngStream(seed=seed, stream=50_000)
-        chain = []
-        sizes = [1] * n_merge
-        while len(sizes) > 1:
-            rep = check_merge_monotonicity(rng, sizes, 1, 2, MERGE_X_GRID,
-                                           m_merge, alpha=MERGE_ALPHA)
-            chain.append(rep.to_dict())
-            all_pass = all_pass and rep.passed
-            sizes = sorted((int(v) for v in rep.merged_sizes), reverse=True)
-        report["merge_chain"] = chain
+        chain = check_merge_chain(RngStream(seed=seed, stream=50_000), n_merge,
+                                  MERGE_X_GRID, m_merge, alpha=MERGE_ALPHA)
+        report["merge_chain"] = [rep.to_dict() for rep in chain]
+        all_pass = all_pass and all(rep.passed for rep in chain)
 
     if "poisson" in checks:
         rng = RngStream(seed=seed, stream=60_000)
@@ -573,7 +581,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
-    oconf = conf.get("oracle", {})
+    oconf = _object(conf.get("oracle", {}), "oracle")
     n = _integer(oconf.get("n", 6), "oracle.n", 3,
                  ", since the data set has three clusters")
     if n > MAX_ENUM_N:

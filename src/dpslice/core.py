@@ -1,8 +1,10 @@
-"""Model configuration and the shared state types for the mixture samplers."""
+"""Model configuration and the shared state types for the mixture samplers.
+
+The chain state one sweep hands the next is the partition and alpha."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -10,13 +12,10 @@ LABEL_DTYPE = np.int64
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# simplex bookkeeping tolerance used by state validation
-SIMPLEX_TOL = 1e-10
-
 
 class InconsistentStateError(RuntimeError):
     """Sampler state violates a structural invariant (labels out of range,
-    weights off the simplex, slice above its own component weight, ...)."""
+    a slice above every instantiated weight, ...)."""
 
 
 class RunawayExtensionError(RuntimeError):
@@ -154,65 +153,17 @@ def relabel_compact_with_map(raw_labels) -> tuple[Partition, np.ndarray]:
 
 
 @dataclass
-class WeightState:
-    """Instantiated mixture weights: one weight per occupied component,
-    the stick weights instantiated beyond them, and the leftover mass."""
-
-    allocated: np.ndarray
-    tail: np.ndarray
-    residual: float
-
-    @property
-    def k_total(self) -> int:
-        return int(self.allocated.size + self.tail.size)
-
-    def all_weights(self) -> np.ndarray:
-        return np.concatenate([self.allocated, self.tail])
-
-    def validate(self) -> None:
-        w = self.all_weights()
-        if w.size and w.min() <= 0.0:
-            raise InconsistentStateError("weights must be strictly positive")
-        if not 0.0 <= self.residual < 1.0:
-            raise InconsistentStateError(f"residual out of range: {self.residual}")
-        total = float(w.sum() + self.residual)
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise InconsistentStateError(f"weights + residual = {total} != 1")
-
-
-@dataclass
 class MixtureState:
-    """Full sampler state. Fields other than (partition, alpha) are populated
-    only by the samplers that persist them; a fresh chain starts with None."""
+    """The chain state, the partition and alpha: a sweep reads nothing else
+    and draws its weights, atoms and slices afresh from the partition."""
 
     partition: Partition
     alpha: float
-    weights: WeightState | None = None
-    atoms: np.ndarray | None = None
-    slices: np.ndarray | None = None
-    umin: float | None = None
 
     def validate(self) -> None:
         self.partition.validate()
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise InconsistentStateError(f"alpha must be positive: {self.alpha}")
-        if self.weights is not None:
-            self.weights.validate()
-            if self.weights.allocated.size != self.partition.num_blocks:
-                raise InconsistentStateError("one allocated weight per block required")
-        if self.atoms is not None and self.weights is not None:
-            if self.atoms.size not in (self.weights.k_total, self.partition.num_blocks):
-                raise InconsistentStateError("atom vector length mismatch")
-        if self.slices is not None:
-            if self.weights is None:
-                raise InconsistentStateError("slices without weights")
-            if self.slices.size != self.partition.n:
-                raise InconsistentStateError("one slice per observation required")
-            wi = self.weights.allocated[self.partition.labels - 1]
-            if np.any(self.slices <= 0.0) or np.any(self.slices >= wi):
-                raise InconsistentStateError("need 0 < u_i < weight of own component")
-            if self.umin is None or self.umin != float(self.slices.min()):
-                raise InconsistentStateError("umin is not the minimum slice")
 
 
 @dataclass(frozen=True)

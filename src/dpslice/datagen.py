@@ -121,17 +121,23 @@ class Dataset:
         return int(self.y.size)
 
 
-DATASET_KINDS = ("three-cluster", "zipf")
+# each dataset kind's generator and the params it takes beyond (rng, n)
+GENERATORS = {"three-cluster": (gen_three_clusters, ()),
+              "zipf": (gen_perturbed_zipf, ("max_label", "exponent", "separation"))}
+DATASET_KINDS = tuple(GENERATORS)
 
 
 def make_dataset(kind: str, rng: RngStream, n: int, **params) -> Dataset:
-    """Dispatch on dataset kind; extra params go to the generator."""
-    if kind == "three-cluster":
-        y, labels = gen_three_clusters(rng, n, **params)
-    elif kind == "zipf":
-        y, labels = gen_perturbed_zipf(rng, n, **params)
-    else:
+    """Dispatch on dataset kind; extra params go to the generator, which
+    must take them."""
+    if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}; use one of {DATASET_KINDS}")
+    gen, takes = GENERATORS[kind]
+    unknown = [key for key in params if key not in takes]
+    if unknown:
+        raise ValueError(f"dataset kind {kind!r} takes no param {unknown[0]!r}; "
+                         f"its params are {list(takes)}")
+    y, labels = gen(rng, n, **params)
     return Dataset(y=y, labels=labels, name=kind, params=dict(params))
 
 

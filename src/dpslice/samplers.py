@@ -1,11 +1,13 @@
 """Markov chain sweeps for Dirichlet process mixtures of Normals.
 
 Five data-conditional samplers, one per ``SamplerKind``, share one state
-type and one trace format. Their sweeps are kernels behind one driver, which
-owns the steps they share: the timer, relabelling the drawn labels, the
-alpha update, the reported log likelihood and the trace record. A sixth
-sweep, ``prior_generative_sweep``, takes no data and is no ``SamplerKind``:
-it is called directly, not through ``make_sweep`` or ``run_chain``.
+type and one trace format. The state is the partition and alpha: each sweep
+draws its weights, atoms and slices afresh from the incoming partition and
+keeps none of them. The sweeps are kernels behind one driver, which owns the
+steps they share: the timer, relabelling the drawn labels, the alpha update,
+the reported log likelihood and the trace record. A sixth sweep,
+``prior_generative_sweep``, takes no data and is no ``SamplerKind``: it is
+called directly, not through ``make_sweep`` or ``run_chain``.
 
 * ``slice_sweep``: posterior slice sampler with exchangeable-component
   weight updates (Dirichlet over occupied weights plus leftover mass) and a
@@ -59,10 +61,9 @@ from .core import (
     Partition,
     RunawayExtensionError,
     TraceRecord,
-    WeightState,
     log_likelihood,
     relabel_compact,
-    relabel_compact_with_map,
+    relabel_compact_with_map,  # not called here; perfbench patches it on this module
 )
 from .randkit import (
     RngStream,
@@ -264,11 +265,9 @@ def truncation_error_bound(n: int, L: int, alpha: float) -> float:
     return float(4.0 * n * math.exp(-(L - 1) / alpha))
 
 
-def _next_alpha(rng: RngStream, state: MixtureState, part: Partition,
-                cfg: ModelConfig) -> float:
+def _next_alpha(rng: RngStream, state: MixtureState, cfg: ModelConfig) -> float:
     # once per sweep, before the kernel's first draw
-    if cfg.alpha_fixed is not None:
-        return float(cfg.alpha_fixed)
+    part = state.partition
     return update_alpha_escobar_west(rng, state.alpha, part.n,
                                      part.num_blocks, cfg)
 
@@ -367,59 +366,33 @@ def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
 # sweeps
 
 
-def _occupied_first(origin: np.ndarray, all_w: np.ndarray,
-                    atoms: np.ndarray | None, residual: float):
-    """Reorder the component arrays so the occupied components come first,
-    new block h being component ``origin[h-1]``."""
-    occ = origin - 1
-    rest = np.ones(all_w.size, dtype=bool)
-    rest[occ] = False
-    weights = WeightState(allocated=all_w[occ], tail=all_w[rest],
-                          residual=residual)
-    if atoms is not None:
-        atoms = np.concatenate([atoms[occ], atoms[rest]])
-    return weights, atoms
-
-
 def _sweep(kernel, state: MixtureState, data, cfg: ModelConfig,
            rng: RngStream, iteration: int):
     """The steps every data-conditional sweep shares around its kernel.
 
     Updates alpha, runs ``kernel(y, partition, alpha)`` on the incoming
     partition (canonical, as every ``Partition`` is), relabels what it drew
-    and reports the log likelihood. The kernel returns four values:
+    and reports the log likelihood. The kernel returns three values:
 
     * each observation's 1-based component id;
     * the number of components it worked with (the trace's K);
-    * the atoms by component id, kept in the new state; or None when the
-      kernel integrates them out, and atoms drawn given the new partition
-      then serve the report only;
-    * for the slice samplers, every instantiated weight by component id,
-      the leftover mass, the slices and their minimum; otherwise None.
+    * the atoms by component id, which score the log likelihood against
+      those ids; or None when the kernel integrates them out, and atoms
+      drawn given the new partition score it instead.
     """
     t0 = time.perf_counter_ns()
     y = np.asarray(data, dtype=float)
-    part = state.partition
-    alpha = _next_alpha(rng, state, part, cfg)
-    raw, k_total, atoms, slice_state = kernel(y, part, alpha)
-    newpart, origin = relabel_compact_with_map(raw)
-    weights = slices = umin = None
-    if slice_state is not None:
-        all_w, residual, slices, umin = slice_state
-        weights, atoms = _occupied_first(origin, all_w, atoms, residual)
-    elif atoms is not None:
-        atoms = atoms[origin - 1]
+    alpha = _next_alpha(rng, state, cfg)
+    raw, k_total, atoms = kernel(y, state.partition, alpha)
+    newpart = relabel_compact(raw)
     if atoms is None:
-        report_atoms = sample_atoms_conjugate(rng, y, newpart, cfg)
-    else:
-        report_atoms = atoms
-    loglik = log_likelihood(y, newpart.labels, report_atoms, cfg)
+        raw = newpart.labels
+        atoms = sample_atoms_conjugate(rng, y, newpart, cfg)
+    loglik = log_likelihood(y, raw, atoms, cfg)
     elapsed = time.perf_counter_ns() - t0
-    new_state = MixtureState(partition=newpart, alpha=alpha, weights=weights,
-                             atoms=atoms, slices=slices, umin=umin)
     rec = TraceRecord(iteration, k_total, newpart.num_blocks, loglik, alpha,
                       elapsed)
-    return new_state, rec
+    return MixtureState(partition=newpart, alpha=alpha), rec
 
 
 def slice_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
@@ -429,12 +402,11 @@ def slice_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
         allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
         atoms_occ = sample_atoms_conjugate(rng, y, part, cfg)
         slices, umin = sample_slices(rng, part, allocated)
-        tail_w, tail_atoms, resid_end = extend_components(rng, residual, umin,
-                                                          alpha, cfg)
+        tail_w, tail_atoms, _ = extend_components(rng, residual, umin, alpha, cfg)
         all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
         all_atoms = np.concatenate([atoms_occ, np.asarray(tail_atoms, dtype=float)])
         raw = slice_allocation_update(rng, y, all_w, all_atoms, slices, cfg)
-        return raw, all_w.size, all_atoms, (all_w, resid_end, slices, umin)
+        return raw, all_w.size, all_atoms
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
@@ -448,12 +420,12 @@ def slice_sweep_marginal_atoms(state: MixtureState, data, cfg: ModelConfig,
     def kernel(y, part, alpha):
         allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
         slices, umin = sample_slices(rng, part, allocated)
-        tail_w, _, resid_end = extend_components(rng, residual, umin, alpha, cfg,
-                                                 with_atoms=False)
+        tail_w, _, _ = extend_components(rng, residual, umin, alpha, cfg,
+                                         with_atoms=False)
         all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
         raw = _marginal_allocation_pass(rng, y.tolist(), part.labels.tolist(),
                                         all_w, slices, cfg)
-        return raw, all_w.size, None, (all_w, resid_end, slices, umin)
+        return raw, all_w.size, None
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
@@ -508,7 +480,7 @@ def bgs_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
             logw *= d
             np.subtract(logpi, logw, out=logw)
             raw[lo:lo + rows] = sample_categorical_logweights(rng, logw) + 1
-        return raw, L, atoms, None
+        return raw, L, atoms
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
@@ -563,7 +535,7 @@ def crp_sweep_atoms(state: MixtureState, data, cfg: ModelConfig,
                 k = active[idx]
                 counts[k] += 1
                 labels[i] = k + 1
-        return labels, len(active), np.asarray(atoms, dtype=float), None
+        return labels, len(active), np.asarray(atoms, dtype=float)
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
@@ -631,7 +603,7 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
             labels[i] = slot + 1
             mean, var = _posterior(counts[slot], sums[slot], prior, s2)
             pred[slot] = (mean, var, LOG_2PI + math.log(var))
-        return labels, len(active), None, None
+        return labels, len(active), None
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
@@ -640,9 +612,10 @@ def prior_generative_sweep(state: MixtureState, cfg: ModelConfig,
     """One no-data sweep of the slice mechanism.
 
     The occupied weights come from their conditional given the partition,
-    Dirichlet(n_1, ..., n_H, alpha), and the atoms from the base measure;
-    each observation then picks uniformly among the components above its
-    slice. The partition chain is stationary for the urn partition law.
+    Dirichlet(n_1, ..., n_H, alpha); with no data there is no likelihood,
+    so no atoms are drawn, and each observation picks uniformly among the
+    components above its slice. The partition chain is stationary for the
+    urn partition law.
     (The printed generative recipe instead gives the occupied components
     fresh Beta(1, alpha) sticks, which is not that conditional and
     overweights fragmented partitions.)
@@ -650,13 +623,10 @@ def prior_generative_sweep(state: MixtureState, cfg: ModelConfig,
     part = state.partition
     alpha = float(cfg.alpha_fixed) if cfg.alpha_fixed is not None else state.alpha
     allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
-    atoms_occ = rng.normal(cfg.base_mean, math.sqrt(cfg.base_var),
-                           part.num_blocks)
     slices, umin = sample_slices(rng, part, allocated)
-    tail_w, tail_atoms, resid_end = extend_components(rng, residual, umin,
-                                                      alpha, cfg)
+    tail_w, _, _ = extend_components(rng, residual, umin, alpha, cfg,
+                                     with_atoms=False)
     all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
-    all_atoms = np.concatenate([atoms_occ, np.asarray(tail_atoms, dtype=float)])
 
     order, pos = _slice_candidates(all_w, slices)
     order_l = order.tolist()
@@ -664,10 +634,7 @@ def prior_generative_sweep(state: MixtureState, cfg: ModelConfig,
     raw = np.empty(part.n, dtype=LABEL_DTYPE)
     for i, p in enumerate(pos):
         raw[i] = order_l[p + int(rng.integers(k_total - p))] + 1
-    newpart, origin = relabel_compact_with_map(raw)
-    wstate, new_atoms = _occupied_first(origin, all_w, all_atoms, resid_end)
-    return MixtureState(partition=newpart, alpha=alpha, weights=wstate,
-                        atoms=new_atoms, slices=slices, umin=umin)
+    return MixtureState(partition=relabel_compact(raw), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

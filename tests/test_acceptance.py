@@ -20,7 +20,7 @@ from scipy.special import logsumexp
 from conftest import record_criterion
 from dpslice.bounds import (
     check_exponential_tail,
-    check_merge_monotonicity,
+    check_merge_chain,
     check_overhead_bound,
     check_poisson_stick_law,
     overhead_bound_constants,
@@ -177,19 +177,16 @@ def test_criterion_5_poisson_stick_law():
 
 
 def test_criterion_6_merge_chain_monotone():
-    rng = RngStream(seed=SEED, stream=500)
-    sizes = [1, 1, 1, 1, 1, 1]
     x_grid = (1e-3, 1e-2, 0.05)
-    steps = 0
-    all_passed = True
-    while len(sizes) > 1:
-        rep = check_merge_monotonicity(rng, sizes, 1, 2, x_grid,
-                                       replicates=1_000_000, alpha=1.0)
-        all_passed = all_passed and rep.passed
-        sizes = sorted(int(v) for v in rep.merged_sizes)
-        steps += 1
-    detail = ("singleton(6) -> one-block(6): %d merge steps x %d thresholds, "
-              "P(u_min <= x) monotone within 3 pooled SE at M=1e6" % (steps, len(x_grid)))
+    chain = check_merge_chain(RngStream(seed=SEED, stream=500), 6, x_grid,
+                              replicates=1_000_000, alpha=1.0)
+    steps = len(chain)
+    all_passed = all(rep.passed for rep in chain)
+    path = " -> ".join(",".join(map(str, sizes)) for sizes in
+                       [rep.sizes for rep in chain] + [chain[-1].merged_sizes])
+    detail = ("singleton(6) -> one-block(6) via %s: %d merge steps x %d "
+              "thresholds, P(u_min <= x) monotone within 3 pooled SE at M=1e6"
+              % (path, steps, len(x_grid)))
     record_criterion(6, all_passed and steps == 5, detail)
     assert steps == 5
     assert all_passed

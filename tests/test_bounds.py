@@ -12,6 +12,7 @@ from scipy.stats import chi2
 from dpslice.bounds import (
     BoundConstants,
     check_exponential_tail,
+    check_merge_chain,
     check_merge_monotonicity,
     check_overhead_bound,
     check_poisson_stick_law,
@@ -308,14 +309,17 @@ class TestMergeMonotonicity:
         assert rep.merged_sizes == (3, 6)
 
     def test_merge_chain_from_singletons_to_one_block(self):
-        # Repeatedly merging the first two blocks walks singleton(6) down to
-        # one block; survival must not drop at any step.
-        sizes = [1, 1, 1, 1, 1, 1]
-        for step in range(5):
-            rep = check_merge_monotonicity(RngStream(seed=97, stream=step), sizes,
-                                           1, 2, x_grid=(0.01,), replicates=50_000)
-            assert rep.passed, f"merge step {step} from sizes {sizes}"
-            sizes = sorted((int(v) for v in rep.merged_sizes), reverse=True)
+        # Merging the two largest blocks grows one block from singleton(6)
+        # to one block; survival must not drop at any step.
+        chain = check_merge_chain(RngStream(seed=97, stream=0), 6, (0.01,),
+                                  replicates=50_000)
+        assert [rep.sizes for rep in chain] == [
+            (1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (3, 1, 1, 1), (4, 1, 1), (5, 1)]
+        assert chain[-1].merged_sizes == (6,)
+        for rep in chain:
+            assert rep.passed, f"merge step from sizes {rep.sizes}"
+        with pytest.raises(ValueError):
+            check_merge_chain(RngStream(seed=97, stream=0), 1, (0.01,), 10)
 
     def test_self_merge_rejected(self):
         with pytest.raises(ValueError):

@@ -604,6 +604,52 @@ class TestErrorHandling:
         bad.write_text("[1, 2]")
         assert main(["generate", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command,conf,key", [
+        ("verify", {"verify": 3}, "verify"),
+        ("verify", {"verify": {"checks": ["merge"], "merge": 5}}, "verify.merge"),
+        ("verify", {"verify": {"checks": ["poisson"], "poisson": []}},
+         "verify.poisson"),
+        ("oracle", {"oracle": []}, "oracle"),
+        ("benchmark", {"benchmark": []}, "benchmark"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slice", "n": 40}, 5]}},
+         "benchmark.grid"),
+        ("run", {"dataset": 5}, "dataset"),
+        ("run", {"dataset": {"kind": "zipf", "n": 40, "params": 3}},
+         "dataset.params"),
+        ("generate", {"datasets": [{"kind": "zipf", "n": 40}, []]}, "datasets"),
+        ("generate", {"datasets": [{"kind": "zipf", "n": 40, "params": [1]}]},
+         "datasets[0].params"),
+    ])
+    def test_non_object_setting_is_config_error(self, tmp_path, capsys,
+                                                command, conf, key):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, conf)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {key} must be a" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,conf,message", [
+        ("run", {"dataset": {"kind": "zipf", "n": "40"}},
+         "dataset.n must be an integer"),
+        ("run", {"dataset": {"kind": "zipf", "n": 2.7}},
+         "dataset.n must be an integer"),
+        ("run", {"dataset": {"n": 0}}, "dataset.n must be >= 1"),
+        ("generate", {"datasets": [{"kind": "zipf", "n": True}]},
+         "datasets[0].n must be an integer"),
+        ("run", {"dataset": {"params": {"foo": 1}}},
+         "dataset kind 'three-cluster' takes no param 'foo'"),
+        ("generate", {"datasets": [{"kind": "zipf", "n": 9},
+                                   {"kind": "zipf", "n": 9, "params": {"foo": 1}}]},
+         "dataset kind 'zipf' takes no param 'foo'"),
+    ])
+    def test_malformed_dataset_is_config_error(self, tmp_path, capsys, command,
+                                               conf, message):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, conf)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_sampler_kind(self, tmp_path):
         conf = _run_config(tmp_path, "x", sampler={"kind": "quantum"})
         cfg = _write_config(tmp_path, conf)

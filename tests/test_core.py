@@ -13,7 +13,6 @@ from dpslice.core import (
     ModelConfig,
     Partition,
     TraceRecord,
-    WeightState,
     log_likelihood,
     rand_index,
     relabel_compact,
@@ -127,73 +126,16 @@ class TestPartitionValidate:
             part.validate()
 
 
-class TestWeightState:
-    def test_simplex_and_stick_structure(self):
-        # tail built from explicit stick fractions: w_k = V_k * residual_before
-        residual = 0.4
-        v = [0.5, 0.25, 0.6]
-        tail = []
-        for vk in v:
-            tail.append(vk * residual)
-            residual -= tail[-1]
-        ws = WeightState(allocated=np.array([0.35, 0.25]),
-                         tail=np.array(tail), residual=residual)
-        ws.validate()
-        # residual after each step is strictly decreasing
-        rs = [0.4]
-        for w in tail:
-            rs.append(rs[-1] - w)
-        assert all(b < a for a, b in zip(rs, rs[1:]))
-        assert ws.k_total == 5
-        assert ws.all_weights().size == 5
-
-    @pytest.mark.parametrize("alloc,tail,residual", [
-        ([0.5, 0.5], [], 0.2),      # sum > 1
-        ([0.5, -0.1], [], 0.6),     # negative weight
-        ([0.5], [], 1.0),           # residual out of range
-        ([0.3], [0.2], 0.1),        # sum != 1
-    ])
-    def test_rejects_invalid(self, alloc, tail, residual):
-        ws = WeightState(allocated=np.asarray(alloc, dtype=float),
-                         tail=np.asarray(tail, dtype=float), residual=residual)
-        with pytest.raises(InconsistentStateError):
-            ws.validate()
-
-
 class TestMixtureState:
     def _state(self):
-        part = relabel_compact([1, 1, 2])
-        ws = WeightState(allocated=np.array([0.5, 0.3]),
-                         tail=np.array([0.1]), residual=0.1)
-        slices = np.array([0.2, 0.4, 0.25])
-        return MixtureState(partition=part, alpha=1.0, weights=ws,
-                            atoms=np.array([0.0, 1.0, -1.0]), slices=slices,
-                            umin=0.2)
+        return MixtureState(partition=relabel_compact([1, 1, 2]), alpha=1.0)
 
     def test_valid_state_passes(self):
         self._state().validate()
 
-    def test_slice_above_own_weight_rejected(self):
-        st_ = self._state()
-        st_.slices = np.array([0.2, 0.4, 0.35])  # block 2 weight is 0.3
-        with pytest.raises(InconsistentStateError):
-            st_.validate()
-
-    def test_umin_must_be_minimum(self):
-        st_ = self._state()
-        st_.umin = 0.4
-        with pytest.raises(InconsistentStateError):
-            st_.validate()
-
     def test_alpha_positive(self):
         st_ = self._state()
         st_.alpha = 0.0
-        with pytest.raises(InconsistentStateError):
-            st_.validate()
-
-    def test_atom_length_mismatch_rejected(self):
-        st_ = self._state()
-        st_.atoms = np.array([0.0])
         with pytest.raises(InconsistentStateError):
             st_.validate()
 

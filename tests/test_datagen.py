@@ -1,12 +1,15 @@
 """Dataset generators: moment and occupancy checks against closed forms, a
 chi-square goodness-of-fit gate on the power-law labels, k-means recovery,
 and the CSV round trip."""
+import inspect
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from dpslice.core import rand_index
 from dpslice.datagen import (
+    GENERATORS,
     Dataset,
     ZIPF_MAX_LABEL,
     gen_perturbed_zipf,
@@ -168,6 +171,17 @@ class TestDeterminismAndDispatch:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_dataset("spiral", RngStream(seed=1, stream=0), 10)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("three-cluster", {"separation": 2.0}), ("zipf", {"foo": 1})])
+    def test_param_the_generator_does_not_take_rejected(self, kind, params):
+        key = next(iter(params))
+        with pytest.raises(ValueError, match=f"takes no param '{key}'"):
+            make_dataset(kind, RngStream(seed=1, stream=0), 10, **params)
+
+    def test_generator_table_lists_every_param(self):
+        for gen, takes in GENERATORS.values():
+            assert tuple(inspect.signature(gen).parameters)[2:] == takes
 
 
 class TestDatasetRoundTrip:

@@ -1,7 +1,9 @@
 """Sweep kernels: conditional draws, stationarity against the enumeration
 oracle, the concentration update against numerical quadrature, and the chain
 driver contract."""
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import chi2, poisson
 
+from dpslice import samplers
 from dpslice.core import (
     LOG_2PI,
     InconsistentStateError,
@@ -17,7 +20,6 @@ from dpslice.core import (
     ModelConfig,
     Partition,
     RunawayExtensionError,
-    WeightState,
     relabel_compact,
 )
 from dpslice.oracle import cluster_log_marginal, exact_posterior, tv_distance
@@ -50,9 +52,44 @@ from dpslice.samplers import (
 CFG = ModelConfig()
 
 
-def _weight_state(sizes, rng, alpha=1.0):
-    allocated, residual = sample_allocated_weights(rng, sizes, alpha)
-    return WeightState(allocated=allocated, tail=np.empty(0), residual=residual)
+@contextlib.contextmanager
+def _slice_draw_spy():
+    """Record what the slice and stick-extension draws of ``samplers`` give
+    while active, one dict per sweep: the incoming labels, the occupied
+    weights, the slices and their minimum, the tail weights and the leftover
+    mass after the extension."""
+    draws = []
+    real_slices, real_extend = samplers.sample_slices, samplers.extend_components
+
+    def slices(rng, part, allocated):
+        u, umin = real_slices(rng, part, allocated)
+        draws.append({"labels": part.labels, "allocated": allocated,
+                      "u": u, "umin": umin})
+        return u, umin
+
+    def extend(*args, **kwargs):
+        tail, atoms, leftover = real_extend(*args, **kwargs)
+        draws[-1].update(tail=np.asarray(tail, dtype=float), leftover=leftover)
+        return tail, atoms, leftover
+
+    with mock.patch.object(samplers, "sample_slices", slices), \
+            mock.patch.object(samplers, "extend_components", extend):
+        yield draws
+
+
+def _check_slice_draw(d) -> int:
+    """Assert the invariants of one sweep's slice draws and return the
+    number of components it instantiated, K = H + tail."""
+    own = d["allocated"][d["labels"] - 1]
+    assert np.all(d["u"] > 0.0) and np.all(d["u"] < own), \
+        "need 0 < u_i < weight of own block"
+    assert d["umin"] == d["u"].min()
+    w = np.concatenate([d["allocated"], d["tail"]])
+    assert np.all(w > 0.0)
+    assert abs(w.sum() + d["leftover"] - 1.0) <= 1e-10, "weights off the simplex"
+    assert d["leftover"] <= d["umin"]
+    assert d["allocated"].size == d["labels"].max()
+    return w.size
 
 
 def _chain_states(sweep, data, cfg, rng, sweeps, burnin, **kw):
@@ -516,6 +553,9 @@ class TestSweepInvariants:
            n=st.integers(min_value=1, max_value=30))
     @settings(max_examples=25, deadline=None)
     def test_state_and_record_wellformed(self, sweep, kw, seed, n):
+        # the slice samplers' weight, slice and extension draws are checked
+        # on every sweep (_check_slice_draw)
+        sliced = sweep in (slice_sweep, slice_sweep_marginal_atoms)
         gen = np.random.default_rng(seed)
         y = gen.normal(gen.choice([-3.0, 0.0, 3.0], n), 1.0)
         cfg = ModelConfig().resolved_for(n)
@@ -523,7 +563,11 @@ class TestSweepInvariants:
         init = np.arange(n) % kw["L"] + 1 if "L" in kw else np.arange(1, n + 1)
         state = MixtureState(partition=relabel_compact(init), alpha=1.0)
         for it in range(15):
-            state, rec = sweep(state, y, cfg, rng, iteration=it, **kw)
+            with _slice_draw_spy() as draws:
+                state, rec = sweep(state, y, cfg, rng, iteration=it, **kw)
+            assert len(draws) == sliced
+            if sliced:
+                assert rec.k_total == _check_slice_draw(draws[0])
             state.validate()
             assert rec.k_total >= rec.num_clusters >= 1
             assert rec.num_clusters == state.partition.num_blocks
@@ -814,7 +858,7 @@ class TestCrpSweeps:
         for _ in range(100):
             state, rec = crp_sweep_atoms(state, np.array([1.3]), cfg, rng)
             assert rec.num_clusters == 1
-            assert math.isfinite(state.atoms[0])
+            assert math.isfinite(rec.loglik)
 
     def test_tiny_alpha_collapses(self):
         cfg = ModelConfig(alpha_fixed=1e-8)
@@ -881,9 +925,10 @@ class TestPriorGenerative:
         state = MixtureState(partition=relabel_compact(np.arange(1, 13)),
                              alpha=2.0)
         for _ in range(300):
-            state = prior_generative_sweep(state, cfg, rng)
+            with _slice_draw_spy() as draws:
+                state = prior_generative_sweep(state, cfg, rng)
+            assert _check_slice_draw(draws[0]) >= state.partition.num_blocks
             state.validate()
-            assert state.weights.k_total >= state.partition.num_blocks
 
 
 class TestMakeSweep:
