@@ -34,7 +34,14 @@ from .bounds import (
     simulate_overhead,
 )
 from .core import ModelConfig, TraceRecord, rand_index, relabel_compact
-from .datagen import Dataset, kmeans_init, load_dataset, make_dataset, save_dataset
+from .datagen import (
+    Dataset,
+    check_dataset_params,
+    kmeans_init,
+    load_dataset,
+    make_dataset,
+    save_dataset,
+)
 from .diagnostics import (
     MIN_TRACE_LENGTH,
     accumulate_coclustering,
@@ -447,6 +454,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         cell["seed"] = conf["seed"]
         cell["index"] = idx
         _check_sweeps(cell, f"benchmark cell {idx} ")
+        _integer(cell["n"], f"benchmark cell {idx} n", 1)
+        check_dataset_params(cell["dataset_kind"],
+                             _object(cell["dataset_params"],
+                                     f"benchmark cell {idx} dataset_params"))
         cells.append(cell)
     out = _outdir(conf)
     rows = _map_cells(_benchmark_cell, cells, conf["threads"])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,16 +128,23 @@ GENERATORS = {"three-cluster": (gen_three_clusters, ()),
 DATASET_KINDS = tuple(GENERATORS)
 
 
-def make_dataset(kind: str, rng: RngStream, n: int, **params) -> Dataset:
-    """Dispatch on dataset kind; extra params go to the generator, which
-    must take them."""
+def check_dataset_params(kind: str, params: dict) -> None:
+    """Fail unless ``kind`` is a dataset kind whose generator takes every
+    key of ``params``."""
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}; use one of {DATASET_KINDS}")
-    gen, takes = GENERATORS[kind]
+    _, takes = GENERATORS[kind]
     unknown = [key for key in params if key not in takes]
     if unknown:
         raise ValueError(f"dataset kind {kind!r} takes no param {unknown[0]!r}; "
                          f"its params are {list(takes)}")
+
+
+def make_dataset(kind: str, rng: RngStream, n: int, **params) -> Dataset:
+    """Dispatch on dataset kind; extra params go to the generator, which
+    must take them."""
+    check_dataset_params(kind, params)
+    gen, _ = GENERATORS[kind]
     y, labels = gen(rng, n, **params)
     return Dataset(y=y, labels=labels, name=kind, params=dict(params))
 
@@ -156,17 +164,33 @@ def save_dataset(ds: Dataset, csv_path) -> None:
 
 
 def load_dataset(csv_path) -> Dataset:
+    """Read a dataset CSV (and its sidecar, if any). A file with no header,
+    no rows, or a row without a finite observation and a positive integer
+    label fails naming the file and the line."""
     csv_path = Path(csv_path)
     ys = []
     labels = []
     with open(csv_path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])
         if header[:2] != ["y", "true_label"]:
-            raise ValueError(f"unexpected dataset header {header!r}")
+            raise ValueError(f"{csv_path}, line 1: expected the header "
+                             f"y,true_label, got {header!r}")
         for row in r:
-            ys.append(float(row[0]))
-            labels.append(int(row[1]))
+            try:
+                y, label = float(row[0]), int(row[1])
+                ok = math.isfinite(y) and label >= 1
+            except (IndexError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"{csv_path}, line {r.line_num}: expected a "
+                                 f"finite y and a positive integer label, "
+                                 f"got {row!r}")
+            ys.append(y)
+            labels.append(label)
+    if not ys:
+        raise ValueError(f"{csv_path}, line {r.line_num + 1}: expected a row "
+                         f"of data after the header, got none")
     sidecar = csv_path.with_suffix(".json")
     name = "unknown"
     params: dict = {}

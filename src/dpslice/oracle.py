@@ -3,7 +3,9 @@
 Ground truth for the sampler exactness checks: enumerate every set partition
 of [n] (restricted growth strings, lexicographic order), score each one by
 the Dirichlet-process EPPF times the product of per-block Normal marginal
-likelihoods, and normalize in log space.
+likelihoods, and normalize in log space. Needs numpy alone: log-gamma comes
+from ``math.lgamma`` and the normalizing log-sum-exp is the private
+``_logsumexp``.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .core import LABEL_DTYPE, LOG_2PI, ModelConfig, relabel_compact
 
@@ -101,7 +102,7 @@ def log_eppf_dp(sizes, alpha: float) -> float:
         raise ValueError("alpha must be positive")
     n = int(s.sum())
     return float(s.size * math.log(alpha)
-                 + gammaln(s).sum()
+                 + sum(math.lgamma(v) for v in s.tolist())
                  - np.log(alpha + np.arange(n)).sum())
 
 
@@ -210,7 +211,20 @@ def exact_posterior(data, alpha: float, cfg: ModelConfig) -> ExactPosterior:
         scores[idx] = s
 
     return ExactPosterior(n=n, alpha=float(alpha), log_scores=scores,
-                          log_norm=float(logsumexp(scores)))
+                          log_norm=_logsumexp(scores))
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a nonempty vector with a finite maximum. The m
+    terms equal to the maximum are split out of the sum,
+    log1p(sum(exp(others - max)) / m) + log m + max, and stay in it as zeros,
+    so numpy's pairwise summation adds the others in their own order: the
+    rounding of the reference log-sum-exp the tests pin this to bit for bit."""
+    top = a.max()
+    at_top = a == top
+    m = float(np.count_nonzero(at_top))
+    rest = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+    return float(np.log1p(rest / m) + np.log(m) + top)
 
 
 def tv_distance(empirical: Mapping[tuple, float], exact: ExactPosterior) -> float:

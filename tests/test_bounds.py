@@ -11,6 +11,7 @@ from scipy.stats import chi2
 
 from dpslice.bounds import (
     BoundConstants,
+    _chi2_sf,
     check_exponential_tail,
     check_merge_chain,
     check_merge_monotonicity,
@@ -340,8 +341,8 @@ class TestPoissonStickLaw:
         assert rep.passed
         assert rep.p_value >= rep.significance == 0.01
         assert rep.dof >= 1
-        # the reference survival function, from scipy.stats
-        assert rep.p_value == chi2.sf(rep.chi2_stat, rep.dof)
+        # the package's closed-form tail, pinned to scipy.stats below
+        assert rep.p_value == _chi2_sf(rep.chi2_stat, rep.dof)
 
     def test_near_one_threshold_rarely_extends(self):
         rep = check_poisson_stick_law(RngStream(seed=100, stream=0),
@@ -357,9 +358,23 @@ class TestPoissonStickLaw:
                                           x=math.exp(-li), alpha=alpha,
                                           replicates=20_000)
             means.append(rep.sample_mean)
-            assert rep.p_value == chi2.sf(rep.chi2_stat, rep.dof)
+            assert rep.p_value == _chi2_sf(rep.chi2_stat, rep.dof)
         slope = np.polyfit(logs, means, 1)[0]
         assert slope == pytest.approx(alpha, rel=0.05)
+
+    def test_chi2_tail_matches_scipy(self):
+        # dof 1-40 from x = 1e-3 out to where the tail leaves the normal
+        # doubles; past that point both must read below the smallest one
+        tiny = np.finfo(float).tiny
+        for dof in range(1, 41):
+            for x in np.geomspace(1e-3, 3000.0, 400):
+                ref = chi2.sf(x, dof)
+                got = _chi2_sf(float(x), dof)
+                if ref < tiny:
+                    assert got < tiny, (dof, x)
+                else:
+                    assert abs(got - ref) <= 1e-12 * ref, (dof, x, got, ref)
+        assert _chi2_sf(0.0, 3) == 1.0
 
     def test_bad_inputs_rejected(self):
         rng = RngStream(seed=1, stream=0)

@@ -3,12 +3,15 @@ under reruns, and thread-count independence, all on reduced iteration
 budgets."""
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpslice
 from dpslice.cli import (
     BENCHMARK_COLUMNS,
     DEFAULT_SEED,
@@ -619,6 +622,10 @@ class TestErrorHandling:
         ("generate", {"datasets": [{"kind": "zipf", "n": 40}, []]}, "datasets"),
         ("generate", {"datasets": [{"kind": "zipf", "n": 40, "params": [1]}]},
          "datasets[0].params"),
+        ("benchmark", {"benchmark": {"grid": [
+            {"sampler": "slice", "n": 40},
+            {"sampler": "slice", "n": 40, "dataset_params": 3}], "iters": 10}},
+         "benchmark cell 1 dataset_params"),
     ])
     def test_non_object_setting_is_config_error(self, tmp_path, capsys,
                                                 command, conf, key):
@@ -641,6 +648,14 @@ class TestErrorHandling:
         ("generate", {"datasets": [{"kind": "zipf", "n": 9},
                                    {"kind": "zipf", "n": 9, "params": {"foo": 1}}]},
          "dataset kind 'zipf' takes no param 'foo'"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slice", "n": "40"}],
+                                     "iters": 10}},
+         "benchmark cell 0 n must be an integer"),
+        ("benchmark", {"benchmark": {"grid": [
+            {"sampler": "slice", "n": 40},
+            {"sampler": "slice", "n": 40, "dataset_params": {"foo": 1}}],
+            "iters": 10}},
+         "dataset kind 'three-cluster' takes no param 'foo'"),
     ])
     def test_malformed_dataset_is_config_error(self, tmp_path, capsys, command,
                                                conf, message):
@@ -648,6 +663,22 @@ class TestErrorHandling:
         cfg = _write_config(tmp_path, conf)
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,line", [
+        ("y,true_label\n0.5,1\n1.5\n", 3),
+        ("y,true_label\n", 2),
+        ("y,true_label\n0.5,1\nnan,2\n", 3),
+    ], ids=["row-without-label", "no-rows", "nan-observation"])
+    def test_malformed_dataset_csv_is_config_error(self, tmp_path, capsys,
+                                                   text, line):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, _run_config(
+            tmp_path, "out", dataset={"path": str(data)}))
+        assert main(["run", "--config", cfg]) == 2
+        assert f"error: {data}, line {line}: expected" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_sampler_kind(self, tmp_path):
@@ -664,14 +695,68 @@ class TestErrorHandling:
             main([])
 
 
+# every command at the console-script sizes of the CI workflow, in a fresh
+# interpreter where importing scipy fails; prints each command's exit code
+NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None
+from dpslice.cli import main
+confs = {
+    "generate": {"datasets": [{"kind": "zipf", "n": 30}]},
+    "run": {"sampler": "slice", "dataset": {"kind": "three-cluster", "n": 40},
+            "iters": 50, "burnin": 10, "time_budget_s": 60},
+    "benchmark": {"benchmark": {"grid": [{"sampler": "slice", "n": 40},
+                                         {"sampler": "bgs", "L": "n", "n": 150}],
+                                "iters": 20, "burnin": 5, "time_budget_s": 60}},
+    "verify": {"verify": {"ns": [50], "alphas": [1.0], "deltas": [0.1],
+                          "replicates": 1000, "checks": ["overhead", "poisson"],
+                          "poisson": {"replicates": 1000}}},
+    "oracle": {"oracle": {"n": 4, "sweeps": 2000, "burnin": 100,
+                          "samplers": ["slice", "crp-collapsed"], "bgs_L": [2]}},
+}
+codes = {}
+for command, conf in confs.items():
+    with open(command + ".json", "w") as fh:
+        json.dump(conf, fh)
+    codes[command] = main([command, "--config", command + ".json",
+                           "--out", command])
+print(json.dumps(codes))
+"""
+
+
 class TestImport:
-    def test_cli_import_leaves_scipy_stats_out(self):
+    # no module named scipy or scipy.* may be loaded
+    NO_SCIPY = ("import sys, {module}; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+
+    def test_cli_import_loads_no_scipy(self):
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, dpslice.cli; print('scipy.stats' in sys.modules)"],
+            [sys.executable, "-c", self.NO_SCIPY.format(module="dpslice.cli")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+
+    def test_package_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.NO_SCIPY.format(module="dpslice")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_every_command_runs_with_scipy_unimportable(self, tmp_path):
+        # runs in tmp_path, so the package's directory goes on the path whole
+        src = str(Path(dpslice.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        codes = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert codes == {"generate": 0, "run": 0, "benchmark": 0,
+                         "verify": 0, "oracle": 0}
+        assert (tmp_path / "verify" / "verify.json").exists()
+        assert (tmp_path / "oracle" / "oracle_exact.csv").exists()
 
 
 class TestConsoleScript:

@@ -2,6 +2,7 @@
 chi-square goodness-of-fit gate on the power-law labels, k-means recovery,
 and the CSV round trip."""
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,22 @@ class TestDatasetRoundTrip:
         back = load_dataset(path)
         assert back.name == "unknown"
         assert back.params == {}
+
+    @pytest.mark.parametrize("text,line", [
+        ("y,true_label\n0.5,1\n1.5\n", 3),
+        ("", 1),
+        ("y,true_label\n", 2),
+        ("y,true_label\n0.5,1\nnan,2\n", 3),
+        ("y,true_label\n0.5,1\ninf,2\n", 3),
+        ("y,true_label\n0.5,0\n", 2),
+        ("y,true_label\n0.5,1.5\n", 2),
+    ], ids=["row-without-label", "empty-file", "no-rows", "nan-observation",
+            "infinite-observation", "zero-label", "fractional-label"])
+    def test_malformed_csv_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: "):
+            load_dataset(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from dpslice.core import ModelConfig, relabel_compact
 from dpslice.oracle import (
     MAX_ENUM_N,
     ExactPosterior,
+    _logsumexp,
     bell_number,
     cluster_log_marginal,
     enumerate_partitions,
@@ -218,6 +220,25 @@ class TestExactPosterior:
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
             exact_posterior(np.zeros(MAX_ENUM_N + 1), 1.0, ModelConfig())
+
+    def test_logsumexp_bit_equal_to_scipy(self):
+        # the normalizer oracle_exact.csv is written with: bit for bit the
+        # scipy value, on spreads from 1e-3 to 700 and with tied maxima
+        gen = np.random.default_rng(5)
+        for i in range(500):
+            size = int(gen.integers(1, 2000))
+            a = gen.normal(scale=float(gen.choice([1e-3, 1.0, 50.0, 700.0])),
+                           size=size)
+            if i % 2:
+                ties = int(gen.integers(1, min(size, 20) + 1))
+                a[gen.choice(size, ties, replace=False)] = a.max()
+            if i % 3 == 0:
+                a = np.round(a, 1)
+            assert _logsumexp(a) == float(logsumexp(a)), i
+        assert _logsumexp(np.zeros(4)) == math.log(4.0)
+        post = exact_posterior(np.array([-3.0, 0.0, 3.0, -2.9, 0.1]), 1.3,
+                               ModelConfig())
+        assert post.log_norm == float(logsumexp(post.log_scores))
 
     def test_to_csv_round_trip(self, tmp_path):
         post = exact_posterior([-1.0, 0.0, 1.0], 1.0, ModelConfig())
