@@ -23,7 +23,6 @@ from .samplers import (
     crp_sweep_collapsed,
     extend_components,
     make_sweep,
-    prior_generative_sweep,
     run_chain,
     sample_allocated_weights,
     sample_atoms_conjugate,

@@ -127,7 +127,11 @@ def resolve_partition_sizes(spec, n: int) -> np.ndarray:
         if spec == "one-block":
             return np.array([n], dtype=LABEL_DTYPE)
         if spec.startswith("balanced:"):
-            h = int(spec.split(":", 1)[1])
+            try:
+                h = int(spec.split(":", 1)[1])
+            except ValueError:
+                raise ValueError(f"balanced spec needs an integer H, got "
+                                 f"{spec!r}") from None
             if not 1 <= h <= n:
                 raise ValueError(f"balanced spec needs 1 <= H <= n, got H={h}")
             base, extra = divmod(n, h)
@@ -313,20 +317,16 @@ class MergeReport(_Report):
     passed: bool
 
 
-def check_merge_monotonicity(rng: RngStream, sizes, r: int, s: int, x_grid,
-                             replicates: int, alpha: float = 1.0) -> MergeReport:
-    """Monte Carlo check that merging blocks r and s (1-based) does not
-    increase P(u_min <= x) at any grid x, within three pooled binomial
-    standard errors. Valid for replicate counts of 10^5 and up."""
+def check_merge_monotonicity(rng: RngStream, sizes, x_grid, replicates: int,
+                             alpha: float = 1.0) -> MergeReport:
+    """Monte Carlo check that merging the first two blocks, into one block
+    placed last, does not increase P(u_min <= x) at any grid x, within three
+    pooled binomial standard errors. Valid for replicate counts of 10^5 and
+    up."""
     sizes = np.asarray(sizes, dtype=LABEL_DTYPE)
-    h = sizes.size
-    if not (1 <= r <= h and 1 <= s <= h):
-        raise ValueError(f"block indices must lie in 1..{h}")
-    if r == s:
-        raise ValueError("merging a block with itself is a no-op; need r != s")
-    keep = [i for i in range(h) if i not in (r - 1, s - 1)]
-    merged = np.concatenate([sizes[keep],
-                             [sizes[r - 1] + sizes[s - 1]]]).astype(LABEL_DTYPE)
+    if sizes.size < 2:
+        raise ValueError(f"a merge needs two blocks, got sizes {sizes.tolist()}")
+    merged = np.append(sizes[2:], sizes[0] + sizes[1])
     u_before = simulate_umin(rng, sizes, alpha, replicates)
     u_after = simulate_umin(rng, merged, alpha, replicates)
     steps = []
@@ -353,8 +353,8 @@ def check_merge_chain(rng: RngStream, n: int, x_grid, replicates: int,
         raise ValueError(f"the merge chain needs n >= 2, got {n}")
     chain, sizes = [], [1] * n
     while len(sizes) > 1:
-        chain.append(check_merge_monotonicity(rng, sizes, 1, 2, x_grid,
-                                              replicates, alpha=alpha))
+        chain.append(check_merge_monotonicity(rng, sizes, x_grid, replicates,
+                                              alpha=alpha))
         sizes = sorted(chain[-1].merged_sizes, reverse=True)
     return chain
 

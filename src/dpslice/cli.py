@@ -31,12 +31,13 @@ from .bounds import (
     check_overhead_bound,
     check_poisson_stick_law,
     overhead_bound_constants,
+    resolve_partition_sizes,
     simulate_overhead,
 )
 from .core import ModelConfig, TraceRecord, rand_index, relabel_compact
 from .datagen import (
     Dataset,
-    check_dataset_params,
+    check_dataset,
     kmeans_init,
     load_dataset,
     make_dataset,
@@ -168,12 +169,21 @@ def _positive(value) -> bool:
     return _is_number(value) and 0.0 < value < math.inf
 
 
-# the config keys that set the model; a benchmark grid cell may override them
-MODEL_KEYS = ("sigma2", "base_mean", "base_var", "alpha_fixed")
+# the config keys that set the model, each with the values it accepts; a
+# benchmark grid cell may override them, and alpha_fixed may also be null
+MODEL_KEYS = {"sigma2": (_positive, "a positive finite number"),
+              "base_mean": (math.isfinite, "a finite number"),
+              "base_var": (_positive, "a positive finite number"),
+              "alpha_fixed": (_positive, "a positive finite number or null")}
 
 
-def _model_config(conf: dict) -> ModelConfig:
-    return ModelConfig(**{key: conf[key] for key in MODEL_KEYS if key in conf})
+def _model_config(conf: dict, where: str = "") -> ModelConfig:
+    """The model the keys of ``conf`` set, each checked as a number first."""
+    model = {}
+    for key, (ok, what) in MODEL_KEYS.items():
+        if key in conf and not (key == "alpha_fixed" and conf[key] is None):
+            model[key] = _number(conf[key], f"{where}{key}", ok, what)
+    return ModelConfig(**model)
 
 
 def _outdir(conf: dict) -> Path:
@@ -303,9 +313,9 @@ def _chain_start(y, kind: SamplerKind, L, rng: RngStream):
 def cmd_run(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
     budget = _check_sweeps(conf)
+    mcfg = _model_config(conf)
     seed = conf["seed"]
     ds = _dataset_from_conf(conf, seed, stream=0)
-    mcfg = _model_config(conf).resolved_for(ds.n)
     sconf = conf.get("sampler", {})
     if isinstance(sconf, str):
         sconf = {"kind": sconf}
@@ -350,7 +360,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     binder, probabilities = _binder_from_snapshots(result.snapshots, ds.n)
     with open(out / "binder.csv", "w", newline="") as fh:
         fh.write(",".join(str(int(v)) for v in binder.labels) + "\n")
-    if probabilities is not None and conf.get("write_coclustering", True):
+    if probabilities is not None:
         np.savetxt(out / "coclustering.csv", probabilities,
                    delimiter=",", fmt="%.6f")
     post = result.records[conf["burnin"]:]
@@ -399,7 +409,7 @@ def _benchmark_cell(cell: dict) -> dict:
     ds = make_dataset(cell["dataset_kind"],
                       RngStream(seed=seed, stream=10_000 + n), n,
                       **cell.get("dataset_params", {}))
-    mcfg = _model_config(cell).resolved_for(n)
+    mcfg = _model_config(cell)
     kind = SamplerKind(cell["sampler"])
     L, init = _chain_start(ds.y, kind, cell.get("L"),
                            RngStream(seed=seed, stream=20_000 + n))
@@ -441,6 +451,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     grid = _list_of(bench.get("grid", [dict(c) for c in DEFAULT_BENCHMARK_GRID]),
                     "benchmark.grid", lambda g: isinstance(g, dict),
                     "JSON objects", nonempty=False)
+    threads = _integer(conf["threads"], "threads", 1)
     cells = []
     for idx, g in enumerate(grid):
         cell = {key: conf[key] for key in MODEL_KEYS if key in conf}
@@ -453,14 +464,16 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                                                    conf.get("time_budget_s", 1.0)))
         cell["seed"] = conf["seed"]
         cell["index"] = idx
-        _check_sweeps(cell, f"benchmark cell {idx} ")
-        _integer(cell["n"], f"benchmark cell {idx} n", 1)
-        check_dataset_params(cell["dataset_kind"],
-                             _object(cell["dataset_params"],
-                                     f"benchmark cell {idx} dataset_params"))
+        where = f"benchmark cell {idx} "
+        _check_sweeps(cell, where)
+        _model_config(cell, where)
+        n = _integer(cell["n"], f"{where}n", 1)
+        make_sweep(cell["sampler"], n if cell.get("L") == "n" else cell.get("L"))
+        check_dataset(cell["dataset_kind"], n,
+                      _object(cell["dataset_params"], f"{where}dataset_params"))
         cells.append(cell)
     out = _outdir(conf)
-    rows = _map_cells(_benchmark_cell, cells, conf["threads"])
+    rows = _map_cells(_benchmark_cell, cells, threads)
     path = out / "benchmark.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -531,6 +544,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if "poisson" in checks:
         m_poisson = _integer(pconf.get("replicates", 100_000),
                              "verify.poisson.replicates", 2)
+    threads = _integer(conf["threads"], "threads", 1)
     seed = conf["seed"]
 
     cells = []
@@ -541,12 +555,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "tails": "tails" in checks
                          and any(n == ta[0] and alpha == ta[1] for ta in tails_at)}
         if cell["overhead"] or cell["tails"]:
+            try:
+                resolve_partition_sizes(spec, n)
+            except ValueError as exc:
+                raise ValueError(f"verify.spec must be a partition spec for "
+                                 f"every n of verify.ns; at n={n}: {exc}") from None
             cells.append(cell)
     if "tails" in checks and not any(c["tails"] for c in cells):
         raise ValueError(f"verify.tails_at names no (n, alpha) cell of the "
                          f"grid; got {tails_at}")
     out = _outdir(conf)
-    results = _map_cells(_verify_cell, cells, conf["threads"])
+    results = _map_cells(_verify_cell, cells, threads)
 
     report = {"schema_version": SCHEMA_VERSION, "seed": seed,
               "replicates": replicates, "cells": results}
@@ -614,11 +633,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             make_sweep(SamplerKind.BLOCKED_GIBBS, L)
         except ValueError as exc:
             raise ValueError(f"oracle.bgs_L: {exc}") from None
+    mcfg = _model_config({**conf, "alpha_fixed": alpha})
     seed = conf["seed"]
     out = _outdir(conf)
 
     ds = make_dataset("three-cluster", RngStream(seed=seed, stream=0), n)
-    mcfg = _model_config({**conf, "alpha_fixed": alpha})
     exact = exact_posterior(ds.y, alpha, mcfg)
     exact.to_csv(out / "oracle_exact.csv")
 

@@ -44,7 +44,6 @@ class ModelConfig:
     alpha_prior_shape: float = 3.0
     alpha_prior_rate: float | None = None
     alpha_fixed: float | None = None
-    max_extension: int = 10_000_000
 
     def __post_init__(self) -> None:
         if self.sigma2 <= 0.0 or not math.isfinite(self.sigma2):
@@ -59,8 +58,6 @@ class ModelConfig:
             raise ValueError("alpha_prior_rate must be positive when given")
         if self.alpha_fixed is not None and self.alpha_fixed <= 0.0:
             raise ValueError("alpha_fixed must be positive when given")
-        if self.max_extension < 1:
-            raise ValueError("max_extension must be >= 1")
 
     def resolved_for(self, n: int) -> "ModelConfig":
         """Fill the data-size-dependent default prior rate 3*log(n)."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,24 +127,50 @@ class Dataset:
 GENERATORS = {"three-cluster": (gen_three_clusters, ()),
               "zipf": (gen_perturbed_zipf, ("max_label", "exponent", "separation"))}
 DATASET_KINDS = tuple(GENERATORS)
+# each dataset kind's smallest n
+MIN_N = {"three-cluster": len(THREE_CLUSTER_MEANS), "zipf": 1}
 
 
-def check_dataset_params(kind: str, params: dict) -> None:
-    """Fail unless ``kind`` is a dataset kind whose generator takes every
-    key of ``params``."""
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_label_cap(value) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1)
+
+
+# the values each generator param accepts, and their description
+PARAM_RULES = {"max_label": (_is_label_cap, "an integer >= 1"),
+               "exponent": (_is_finite_number, "a finite number"),
+               "separation": (_is_finite_number, "a finite number")}
+
+
+def check_dataset(kind: str, n: int, params: dict) -> None:
+    """Fail unless ``kind`` is a dataset kind whose generator takes ``n``
+    observations and every key of ``params``, each with a value it
+    accepts."""
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}; use one of {DATASET_KINDS}")
+    if n < MIN_N[kind]:
+        raise ValueError(f"dataset kind {kind!r} needs n >= {MIN_N[kind]}, "
+                         f"got {n}")
     _, takes = GENERATORS[kind]
-    unknown = [key for key in params if key not in takes]
-    if unknown:
-        raise ValueError(f"dataset kind {kind!r} takes no param {unknown[0]!r}; "
-                         f"its params are {list(takes)}")
+    for key, value in params.items():
+        if key not in takes:
+            raise ValueError(f"dataset kind {kind!r} takes no param {key!r}; "
+                             f"its params are {list(takes)}")
+        ok, what = PARAM_RULES[key]
+        if not ok(value):
+            raise ValueError(f"dataset param {key!r} must be {what}, "
+                             f"got {value!r}")
 
 
 def make_dataset(kind: str, rng: RngStream, n: int, **params) -> Dataset:
     """Dispatch on dataset kind; extra params go to the generator, which
     must take them."""
-    check_dataset_params(kind, params)
+    check_dataset(kind, n, params)
     gen, _ = GENERATORS[kind]
     y, labels = gen(rng, n, **params)
     return Dataset(y=y, labels=labels, name=kind, params=dict(params))

@@ -1,13 +1,11 @@
 """Markov chain sweeps for Dirichlet process mixtures of Normals.
 
-Five data-conditional samplers, one per ``SamplerKind``, share one state
+Five samplers, one per ``SamplerKind``, share one state
 type and one trace format. The state is the partition and alpha: each sweep
 draws its weights, atoms and slices afresh from the incoming partition and
 keeps none of them. The sweeps are kernels behind one driver, which owns the
 steps they share: the timer, relabelling the drawn labels, the alpha update,
-the reported log likelihood and the trace record. A sixth sweep,
-``prior_generative_sweep``, takes no data and is no ``SamplerKind``: it is
-called directly, not through ``make_sweep`` or ``run_chain``.
+the reported log likelihood and the trace record.
 
 * ``slice_sweep``: posterior slice sampler with exchangeable-component
   weight updates (Dirichlet over occupied weights plus leftover mass) and a
@@ -18,8 +16,6 @@ called directly, not through ``make_sweep`` or ``run_chain``.
   at L components.
 * ``crp_sweep_atoms`` / ``crp_sweep_collapsed``: sequential urn samplers,
   with instantiated atoms or with atoms integrated out.
-* ``prior_generative_sweep``: the no-data analogue of the slice sweep,
-  with the occupied weights drawn from their Dirichlet conditional.
 
 Blocked Gibbs scores every observation against all L components, so its
 allocation is vectorized: it scores a block of observations at a time and
@@ -74,6 +70,10 @@ from .randkit import (
     sample_gamma,
     sample_normal,
 )
+
+
+# cap on the components one stick extension may add before it fails
+MAX_EXTENSION = 10_000_000
 
 
 class SamplerKind(str, Enum):
@@ -182,7 +182,7 @@ def extend_components(rng: RngStream, residual, umin, alpha: float,
             raise ValueError("every residual must be in (0, 1]")
         if not np.all((u > 0.0) & (u < 1.0)):
             raise ValueError("every umin must be in (0, 1)")
-        return _extend_masked(rng, r, u, alpha, cfg)
+        return _extend_masked(rng, r, u, alpha)
     if not 0.0 < residual <= 1.0:
         raise ValueError(f"residual must be in (0, 1], got {residual}")
     if not 0.0 < umin < 1.0:
@@ -191,8 +191,8 @@ def extend_components(rng: RngStream, residual, umin, alpha: float,
     tail_atoms: list[float] = []
     steps = 0
     while residual > umin:
-        if steps >= cfg.max_extension:
-            raise RunawayExtensionError(umin=umin, cap=cfg.max_extension)
+        if steps >= MAX_EXTENSION:
+            raise RunawayExtensionError(umin=umin, cap=MAX_EXTENSION)
         if with_atoms:
             tail_atoms.append(sample_normal(rng, cfg.base_mean, cfg.base_var))
         v = sample_beta(rng, 1.0, alpha)
@@ -204,7 +204,7 @@ def extend_components(rng: RngStream, residual, umin, alpha: float,
 
 
 def _extend_masked(rng: RngStream, residual: np.ndarray, umin: np.ndarray,
-                   alpha: float, cfg: ModelConfig):
+                   alpha: float):
     """The stick extension for many replicates at once, without atoms.
 
     Each step draws one clamped Beta(1, alpha) stick for every replicate
@@ -219,8 +219,8 @@ def _extend_masked(rng: RngStream, residual: np.ndarray, umin: np.ndarray,
     lo = umin[idx]
     steps = 0
     while idx.size:
-        if steps >= cfg.max_extension:
-            raise RunawayExtensionError(umin=float(lo.min()), cap=cfg.max_extension)
+        if steps >= MAX_EXTENSION:
+            raise RunawayExtensionError(umin=float(lo.min()), cap=MAX_EXTENSION)
         v = clamp_weights(rng.beta(1.0, alpha, idx.size))
         r -= v * r
         steps += 1
@@ -605,36 +605,6 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
             pred[slot] = (mean, var, LOG_2PI + math.log(var))
         return labels, len(active), None
     return _sweep(kernel, state, data, cfg, rng, iteration)
-
-
-def prior_generative_sweep(state: MixtureState, cfg: ModelConfig,
-                           rng: RngStream) -> MixtureState:
-    """One no-data sweep of the slice mechanism.
-
-    The occupied weights come from their conditional given the partition,
-    Dirichlet(n_1, ..., n_H, alpha); with no data there is no likelihood,
-    so no atoms are drawn, and each observation picks uniformly among the
-    components above its slice. The partition chain is stationary for the
-    urn partition law.
-    (The printed generative recipe instead gives the occupied components
-    fresh Beta(1, alpha) sticks, which is not that conditional and
-    overweights fragmented partitions.)
-    """
-    part = state.partition
-    alpha = float(cfg.alpha_fixed) if cfg.alpha_fixed is not None else state.alpha
-    allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
-    slices, umin = sample_slices(rng, part, allocated)
-    tail_w, _, _ = extend_components(rng, residual, umin, alpha, cfg,
-                                     with_atoms=False)
-    all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
-
-    order, pos = _slice_candidates(all_w, slices)
-    order_l = order.tolist()
-    k_total = all_w.size
-    raw = np.empty(part.n, dtype=LABEL_DTYPE)
-    for i, p in enumerate(pos):
-        raw[i] = order_l[p + int(rng.integers(k_total - p))] + 1
-    return MixtureState(partition=relabel_compact(raw), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,8 @@ class TestResolvePartitionSizes:
             resolve_partition_sizes("spiral", 4)
         with pytest.raises(ValueError):
             resolve_partition_sizes("balanced:5", 4)
+        with pytest.raises(ValueError, match="needs an integer H"):
+            resolve_partition_sizes("balanced:x", 4)
         with pytest.raises(ValueError):
             resolve_partition_sizes([2, 3], 6)
         with pytest.raises(ValueError):
@@ -294,7 +296,7 @@ class TestSimulateUmin:
 
 class TestMergeMonotonicity:
     def test_two_singletons_merge(self):
-        rep = check_merge_monotonicity(RngStream(seed=95, stream=0), [1, 1], 1, 2,
+        rep = check_merge_monotonicity(RngStream(seed=95, stream=0), [1, 1],
                                        x_grid=(0.001, 0.01, 0.05), replicates=50_000)
         assert rep.passed
         assert rep.sizes == (1, 1)
@@ -304,10 +306,11 @@ class TestMergeMonotonicity:
             assert step.p_merged <= step.p_unmerged + 3.0 * step.pooled_se
 
     def test_merged_sizes_bookkeeping(self):
-        rep = check_merge_monotonicity(RngStream(seed=96, stream=0), [2, 3, 4], 1, 3,
+        # the first two blocks merge into one block placed last
+        rep = check_merge_monotonicity(RngStream(seed=96, stream=0), [2, 3, 4],
                                        x_grid=(0.01,), replicates=1000)
         assert rep.sizes == (2, 3, 4)
-        assert rep.merged_sizes == (3, 6)
+        assert rep.merged_sizes == (4, 5)
 
     def test_merge_chain_from_singletons_to_one_block(self):
         # Merging the two largest blocks grows one block from singleton(6)
@@ -322,12 +325,9 @@ class TestMergeMonotonicity:
         with pytest.raises(ValueError):
             check_merge_chain(RngStream(seed=97, stream=0), 1, (0.01,), 10)
 
-    def test_self_merge_rejected(self):
-        with pytest.raises(ValueError):
-            check_merge_monotonicity(RngStream(seed=1, stream=0), [1, 1], 1, 1,
-                                     x_grid=(0.01,), replicates=10)
-        with pytest.raises(ValueError):
-            check_merge_monotonicity(RngStream(seed=1, stream=0), [1, 1], 1, 3,
+    def test_one_block_has_no_merge(self):
+        with pytest.raises(ValueError, match="a merge needs two blocks"):
+            check_merge_monotonicity(RngStream(seed=1, stream=0), [2],
                                      x_grid=(0.01,), replicates=10)
 
 

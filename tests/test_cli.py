@@ -244,12 +244,6 @@ class TestRun:
             in capsys.readouterr().err
         assert not (tmp_path / "badbudget").exists()
 
-    def test_coclustering_export_can_be_disabled(self, tmp_path):
-        conf = _run_config(tmp_path, "nococl", write_coclustering=False)
-        cfg = _write_config(tmp_path, conf)
-        assert main(["run", "--config", cfg]) == 0
-        assert not (tmp_path / "nococl" / "coclustering.csv").exists()
-
 
 class TestBenchmark:
     def _bench_conf(self, tmp_path, out_name, grid, threads=None):
@@ -472,7 +466,8 @@ class TestVerify:
         ("tails_at", [50, 1.0], ["tails"]),
         ("replicates", "1000", ["overhead"]), ("replicates", 2.7, ["overhead"]),
         ("merge", {"n": 3, "replicates": "1000"}, ["merge"]),
-        ("poisson", {"replicates": 2.5}, ["poisson"])])
+        ("poisson", {"replicates": 2.5}, ["poisson"]),
+        ("spec", "balanced:x", ["overhead"]), ("spec", "balanced:500", ["tails"])])
     def test_malformed_setting_is_config_error(self, tmp_path, capsys,
                                                monkeypatch, key, value, checks):
         import dpslice.cli as cli
@@ -656,6 +651,19 @@ class TestErrorHandling:
             {"sampler": "slice", "n": 40, "dataset_params": {"foo": 1}}],
             "iters": 10}},
          "dataset kind 'three-cluster' takes no param 'foo'"),
+        ("run", {"dataset": {"kind": "zipf", "n": 40, "params": {"max_label": "5"}}},
+         "dataset param 'max_label' must be an integer >= 1"),
+        ("generate", {"datasets": [{"kind": "zipf", "n": 40,
+                                    "params": {"exponent": "2"}}]},
+         "dataset param 'exponent' must be a finite number"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slice", "n": 40}],
+                                     "dataset_kind": "zipf",
+                                     "dataset_params": {"separation": "3"},
+                                     "iters": 10}},
+         "dataset param 'separation' must be a finite number"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slice", "n": 2}],
+                                     "iters": 10}},
+         "dataset kind 'three-cluster' needs n >= 3, got 2"),
     ])
     def test_malformed_dataset_is_config_error(self, tmp_path, capsys, command,
                                                conf, message):
@@ -679,6 +687,44 @@ class TestErrorHandling:
             tmp_path, "out", dataset={"path": str(data)}))
         assert main(["run", "--config", cfg]) == 2
         assert f"error: {data}, line {line}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,conf,message", [
+        ("run", {"sigma2": "1"}, "sigma2 must be a positive finite number"),
+        ("run", {"alpha_fixed": True, "dataset": {"n": 20}, "iters": 10,
+                 "burnin": 0}, "alpha_fixed must be a positive finite number"),
+        ("oracle", {"oracle": {"n": 4, "sweeps": 200}, "sigma2": "1"},
+         "sigma2 must be a positive finite number"),
+        ("oracle", {"oracle": {"n": 4, "sweeps": 200}, "base_mean": "0"},
+         "base_mean must be a finite number"),
+        ("benchmark", {"benchmark": {"grid": [
+            {"sampler": "slice", "n": 20, "sigma2": "1"}], "iters": 10}},
+         "benchmark cell 0 sigma2 must be a positive finite number"),
+        ("benchmark", {"benchmark": {"grid": [
+            {"sampler": "slice", "n": 20, "sigma2": 0}], "iters": 10}},
+         "benchmark cell 0 sigma2 must be a positive finite number"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slyce", "n": 20}],
+                                     "iters": 10}},
+         "'slyce' is not a valid SamplerKind"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "bgs", "n": 20, "L": 0}],
+                                     "iters": 10}},
+         "blocked Gibbs requires a truncation level"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slice", "n": 20}],
+                                     "iters": 10}, "threads": "2"},
+         "threads must be an integer"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slice", "n": 20}],
+                                     "iters": 10}, "threads": 0},
+         "threads must be >= 1"),
+        ("verify", {"verify": {"ns": [50], "alphas": [1.0], "replicates": 100,
+                               "checks": ["overhead"]}, "threads": 0},
+         "threads must be >= 1"),
+    ])
+    def test_malformed_setting_is_config_error(self, tmp_path, capsys, command,
+                                               conf, message):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, conf)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_sampler_kind(self, tmp_path):

@@ -166,7 +166,6 @@ class TestModelConfig:
         {"sigma2": 0.0}, {"sigma2": -1.0}, {"base_var": 0.0},
         {"base_mean": math.inf}, {"alpha_prior_shape": 0.0},
         {"alpha_prior_rate": -1.0}, {"alpha_fixed": 0.0},
-        {"max_extension": 0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -180,6 +180,29 @@ class TestDeterminismAndDispatch:
         with pytest.raises(ValueError, match=f"takes no param '{key}'"):
             make_dataset(kind, RngStream(seed=1, stream=0), 10, **params)
 
+    @pytest.mark.parametrize("params,what", [
+        ({"max_label": "5"}, "an integer >= 1"),
+        ({"max_label": True}, "an integer >= 1"),
+        ({"max_label": 2.5}, "an integer >= 1"),
+        ({"max_label": 0}, "an integer >= 1"),
+        ({"exponent": "2"}, "a finite number"),
+        ({"exponent": float("nan")}, "a finite number"),
+        ({"separation": float("inf")}, "a finite number"),
+        ({"separation": False}, "a finite number")])
+    def test_param_of_the_wrong_kind_rejected(self, params, what):
+        key = next(iter(params))
+        with pytest.raises(ValueError, match=f"param '{key}' must be {what}"):
+            make_dataset("zipf", RngStream(seed=1, stream=0), 10, **params)
+
+    def test_numpy_integer_max_label_accepted(self):
+        ds = make_dataset("zipf", RngStream(seed=1, stream=0), 10,
+                          max_label=np.int64(4))
+        assert ds.labels.max() <= 4
+
+    def test_n_below_the_kind_minimum_rejected(self):
+        with pytest.raises(ValueError, match="'three-cluster' needs n >= 3"):
+            make_dataset("three-cluster", RngStream(seed=1, stream=0), 2)
+
     def test_generator_table_lists_every_param(self):
         for gen, takes in GENERATORS.values():
             assert tuple(inspect.signature(gen).parameters)[2:] == takes

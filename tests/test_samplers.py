@@ -37,7 +37,6 @@ from dpslice.samplers import (
     default_snapshot_thin,
     extend_components,
     make_sweep,
-    prior_generative_sweep,
     run_chain,
     sample_allocated_weights,
     sample_atoms_conjugate,
@@ -224,10 +223,10 @@ class TestExtendComponents:
                                                   with_atoms=False)
         assert tail_atoms == [] and len(tail_w) > 0
 
-    def test_runaway_cap(self):
-        cfg = ModelConfig(max_extension=3)
+    def test_runaway_cap(self, monkeypatch):
+        monkeypatch.setattr(samplers, "MAX_EXTENSION", 3)
         with pytest.raises(RunawayExtensionError) as err:
-            extend_components(RngStream(seed=134), 1.0, 1e-12, 5.0, cfg)
+            extend_components(RngStream(seed=134), 1.0, 1e-12, 5.0, CFG)
         assert err.value.cap == 3 and err.value.umin == 1e-12
 
     @pytest.mark.parametrize("residual,umin,alpha", [
@@ -317,7 +316,7 @@ class TestReplicateAxis:
         tail_w, _, final = extend_components(a, residual, umin, alpha, CFG,
                                              with_atoms=False)
         counts, finals = _extend_masked(b, np.array([residual]),
-                                        np.array([umin]), alpha, CFG)
+                                        np.array([umin]), alpha)
         assert counts.tolist() == [len(tail_w)]
         assert finals.tolist() == [final]
         assert a.bit_generator.state == b.bit_generator.state
@@ -344,11 +343,11 @@ class TestReplicateAxis:
             assert chi2.sf(stat, obs.size - 1) > 1e-3
             assert abs(shifted.mean() - rate) < 4.0 * math.sqrt(rate / pick.sum())
 
-    def test_runaway_cap_applies_to_every_replicate(self):
-        cfg = ModelConfig(max_extension=3)
+    def test_runaway_cap_applies_to_every_replicate(self, monkeypatch):
+        monkeypatch.setattr(samplers, "MAX_EXTENSION", 3)
         with pytest.raises(RunawayExtensionError) as err:
             extend_components(RngStream(seed=142), np.array([0.5, 1.0]),
-                              np.array([0.4, 1e-12]), 5.0, cfg)
+                              np.array([0.4, 1e-12]), 5.0, CFG)
         assert err.value.cap == 3 and err.value.umin == 1e-12
 
     @pytest.mark.parametrize("residual,umin,alpha", [
@@ -887,48 +886,42 @@ class TestCrpSweeps:
         assert together_rate(0.1, 182) > together_rate(10.0, 183) + 0.2
 
 
-class TestPriorGenerative:
-    def test_exact_weights_matches_urn_cluster_count(self):
+URN_SWEEPS = pytest.mark.parametrize("sweep", [
+    slice_sweep, slice_sweep_marginal_atoms, crp_sweep_atoms,
+    crp_sweep_collapsed], ids=["slice", "slice-marginal", "crp-atoms",
+                               "crp-collapsed"])
+
+
+class TestUrnLawUnderFlatLikelihood:
+    """With every observation at 0 and sigma2 = 1e12, every block's marginal
+    likelihood is about 1e-11 whatever its members, so the posterior over
+    partitions is the urn law with concentration alpha. A slice sweep whose
+    occupied weights are fresh Beta(1, alpha) sticks, as in the printed
+    generative recipe, fails both checks."""
+
+    @staticmethod
+    def _flat(alpha):
+        return ModelConfig(alpha_fixed=alpha, sigma2=1e12)
+
+    @URN_SWEEPS
+    def test_mean_cluster_count(self, sweep):
         # stationary mean of H at n=20, alpha=1 is sum_{i=0}^{19} 1/(1+i)
         n, alpha = 20, 1.0
         target = sum(alpha / (alpha + i) for i in range(n))
-        cfg = ModelConfig(alpha_fixed=alpha)
-        rng = RngStream(seed=190)
-        state = MixtureState(partition=relabel_compact(np.arange(1, n + 1)),
-                             alpha=alpha)
-        for _ in range(500):
-            state = prior_generative_sweep(state, cfg, rng)
-        m = 8000
-        hs = np.empty(m)
-        for i in range(m):
-            state = prior_generative_sweep(state, cfg, rng)
-            hs[i] = state.partition.num_blocks
+        states = _chain_states(sweep, np.zeros(n), self._flat(alpha),
+                               RngStream(seed=190), 8000, 500)
+        hs = np.array([s.partition.num_blocks for s in states], dtype=float)
         batches = hs.reshape(40, -1).mean(axis=1)
         se = batches.std(ddof=1) / math.sqrt(batches.size)
         assert abs(hs.mean() - target) < 4.0 * se + 0.01
 
-    def test_exact_weights_pair_coclustering(self):
+    @URN_SWEEPS
+    def test_pair_coclustering(self, sweep):
         # P(two items together) under the urn law is 1/(1+alpha)
-        cfg = ModelConfig(alpha_fixed=1.0)
-        rng = RngStream(seed=191)
-        state = MixtureState(partition=relabel_compact([1, 2]), alpha=1.0)
-        m = 20_000
-        hits = 0
-        for _ in range(m):
-            state = prior_generative_sweep(state, cfg, rng)
-            hits += state.partition.num_blocks == 1
-        assert abs(hits / m - 0.5) < 0.015
-
-    def test_k_at_least_h_and_valid(self):
-        cfg = ModelConfig(alpha_fixed=2.0)
-        rng = RngStream(seed=193)
-        state = MixtureState(partition=relabel_compact(np.arange(1, 13)),
-                             alpha=2.0)
-        for _ in range(300):
-            with _slice_draw_spy() as draws:
-                state = prior_generative_sweep(state, cfg, rng)
-            assert _check_slice_draw(draws[0]) >= state.partition.num_blocks
-            state.validate()
+        states = _chain_states(sweep, np.zeros(2), self._flat(1.0),
+                               RngStream(seed=191), 20_000, 0)
+        together = np.mean([s.partition.num_blocks == 1 for s in states])
+        assert abs(together - 0.5) < 0.015
 
 
 class TestMakeSweep:
