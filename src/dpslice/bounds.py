@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import LABEL_DTYPE, ModelConfig, Partition
+from .core import LABEL_DTYPE, ModelConfig, Partition, is_integer
 from .randkit import RngStream
 from .samplers import extend_components, sample_allocated_weights, sample_slices
 
@@ -117,7 +117,7 @@ def resolve_partition_sizes(spec, n: int) -> np.ndarray:
     """Map a partition spec to block sizes summing to n.
 
     Accepted specs: "singleton", "one-block", "balanced:H" (sizes differ by
-    at most one), or an explicit sequence of positive sizes.
+    at most one), or an explicit list of integer sizes >= 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -139,12 +139,12 @@ def resolve_partition_sizes(spec, n: int) -> np.ndarray:
             sizes[:extra] += 1
             return sizes
         raise ValueError(f"unknown partition spec {spec!r}")
-    sizes = np.asarray(spec, dtype=LABEL_DTYPE)
-    if sizes.ndim != 1 or sizes.size == 0 or np.any(sizes < 1):
-        raise ValueError("explicit sizes must be a nonempty vector of positives")
-    if int(sizes.sum()) != n:
-        raise ValueError(f"sizes sum to {int(sizes.sum())}, expected {n}")
-    return sizes
+    if not (isinstance(spec, (list, tuple, np.ndarray))
+            and all(is_integer(s) and s >= 1 for s in spec)):
+        raise ValueError(f"sizes must be a list of integers >= 1, got {spec!r}")
+    if sum(spec) != n:
+        raise ValueError(f"sizes sum to {sum(spec)}, expected {n}")
+    return np.asarray(spec, dtype=LABEL_DTYPE)
 
 
 def _partition_from_sizes(sizes: np.ndarray) -> Partition:

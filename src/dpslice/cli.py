@@ -34,8 +34,18 @@ from .bounds import (
     resolve_partition_sizes,
     simulate_overhead,
 )
-from .core import ModelConfig, TraceRecord, rand_index, relabel_compact
+from .core import (
+    POSITIVE,
+    ModelConfig,
+    TraceRecord,
+    check,
+    is_integer,
+    is_number,
+    rand_index,
+    relabel_compact,
+)
 from .datagen import (
+    MIN_N,
     Dataset,
     check_dataset,
     kmeans_init,
@@ -105,12 +115,13 @@ def _merge_args(conf: dict, args: argparse.Namespace) -> dict:
     if args.seed is not None:
         conf["seed"] = args.seed
     conf.setdefault("seed", DEFAULT_SEED)
+    RngStream(conf["seed"])  # RngStream's seed rule, checked before any output
     if args.out is not None:
         conf["out"] = args.out
     conf.setdefault("out", "out")
     if args.threads is not None:
         conf["threads"] = args.threads
-    conf.setdefault("threads", 1)
+    _integer(conf.setdefault("threads", 1), "threads", 1)
     if args.preset is not None:
         conf.update(PRESETS[args.preset])
     conf.setdefault("iters", PRESETS["paper"]["iters"])
@@ -118,34 +129,24 @@ def _merge_args(conf: dict, args: argparse.Namespace) -> dict:
     return conf
 
 
-# Config checks. JSON ``true`` and ``false`` load as Python bools, a subclass
-# of int; no check below counts a bool as a number.
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# Config checks, each naming its key; ``core`` decides what a number is.
 
 
 def _integer(value, key: str, low: int, why: str = "") -> int:
     """``value`` if it is an integer >= low, else a config error naming
     ``key``."""
-    if not _is_integer(value):
+    if not is_integer(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{key} must be >= {low}{why}, got {value}")
     return value
 
 
-def _number(value, key: str, ok, what: str):
-    """``value`` if it is a number that ``ok`` accepts, else a config error
-    naming ``key``."""
-    if not (_is_number(value) and ok(value)):
-        raise ValueError(f"{key} must be {what}, got {value!r}")
-    return value
+def _required(conf: dict, key: str, where: str):
+    """``conf[key]``, else a config error naming ``where`` and ``key``."""
+    if key not in conf:
+        raise ValueError(f"{where}{key} must be set")
+    return conf[key]
 
 
 def _list_of(values, key: str, ok, what: str, nonempty: bool = True) -> list:
@@ -165,25 +166,16 @@ def _object(value, key: str) -> dict:
     return value
 
 
-def _positive(value) -> bool:
-    return _is_number(value) and 0.0 < value < math.inf
-
-
-# the config keys that set the model, each with the values it accepts; a
-# benchmark grid cell may override them, and alpha_fixed may also be null
-MODEL_KEYS = {"sigma2": (_positive, "a positive finite number"),
-              "base_mean": (math.isfinite, "a finite number"),
-              "base_var": (_positive, "a positive finite number"),
-              "alpha_fixed": (_positive, "a positive finite number or null")}
+# the config keys that set the model; a benchmark grid cell may override them
+MODEL_KEYS = ("sigma2", "base_mean", "base_var", "alpha_fixed")
 
 
 def _model_config(conf: dict, where: str = "") -> ModelConfig:
-    """The model the keys of ``conf`` set, each checked as a number first."""
-    model = {}
-    for key, (ok, what) in MODEL_KEYS.items():
-        if key in conf and not (key == "alpha_fixed" and conf[key] is None):
-            model[key] = _number(conf[key], f"{where}{key}", ok, what)
-    return ModelConfig(**model)
+    """The model the keys of ``conf`` set, its errors prefixed with ``where``."""
+    try:
+        return ModelConfig(**{key: conf[key] for key in MODEL_KEYS if key in conf})
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
 
 
 def _outdir(conf: dict) -> Path:
@@ -198,7 +190,8 @@ def _write_json(path: Path, obj) -> None:
 
 def _drawn_dataset(spec: dict, key: str, rng: RngStream) -> Dataset:
     """``make_dataset``'s draw for the config object ``spec`` at ``key``."""
-    return make_dataset(spec["kind"], rng, _integer(spec["n"], f"{key}.n", 1),
+    kind, n = (_required(spec, name, f"{key}.") for name in ("kind", "n"))
+    return make_dataset(kind, rng, _integer(n, f"{key}.n", 1),
                         **_object(spec.get("params", {}), f"{key}.params"))
 
 
@@ -260,8 +253,8 @@ def _check_sweeps(conf: dict, where: str = "") -> float:
     _integer(conf["iters"], f"{where}iters", MIN_TRACE_LENGTH,
              " for the effective sample size")
     _integer(conf["burnin"], f"{where}burnin", 0)
-    return _number(conf.get("time_budget_s", 1.0), f"{where}time_budget_s",
-                   lambda t: t >= 0.0, "a number >= 0")
+    return check(conf.get("time_budget_s", 1.0), f"{where}time_budget_s",
+                 (lambda t: is_number(t) and t >= 0.0, "a number >= 0"))
 
 
 def _ess_block(records) -> dict:
@@ -451,7 +444,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     grid = _list_of(bench.get("grid", [dict(c) for c in DEFAULT_BENCHMARK_GRID]),
                     "benchmark.grid", lambda g: isinstance(g, dict),
                     "JSON objects", nonempty=False)
-    threads = _integer(conf["threads"], "threads", 1)
     cells = []
     for idx, g in enumerate(grid):
         cell = {key: conf[key] for key in MODEL_KEYS if key in conf}
@@ -467,13 +459,14 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         where = f"benchmark cell {idx} "
         _check_sweeps(cell, where)
         _model_config(cell, where)
-        n = _integer(cell["n"], f"{where}n", 1)
-        make_sweep(cell["sampler"], n if cell.get("L") == "n" else cell.get("L"))
+        n = _integer(_required(cell, "n", where), f"{where}n", 1)
+        make_sweep(_required(cell, "sampler", where),
+                   n if cell.get("L") == "n" else cell.get("L"))
         check_dataset(cell["dataset_kind"], n,
                       _object(cell["dataset_params"], f"{where}dataset_params"))
         cells.append(cell)
     out = _outdir(conf)
-    rows = _map_cells(_benchmark_cell, cells, threads)
+    rows = _map_cells(_benchmark_cell, cells, conf["threads"])
     path = out / "benchmark.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -519,14 +512,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                       VERIFY_CHECKS.__contains__,
                       f"names from {list(VERIFY_CHECKS)}")
     alphas = _list_of(vconf.get("alphas", [0.5, 1.0, 5.0]), "verify.alphas",
-                      _positive, "positive numbers")
+                      POSITIVE[0], "positive finite numbers")
     ns = _list_of(vconf.get("ns", [100, 1_000, 10_000]), "verify.ns",
-                  _is_integer, "integers")
+                  is_integer, "integers")
     if any(n < 2 for n in ns):
         raise ValueError(f"verify.ns must all be >= 2, since the bounds scale "
                          f"with log n; got {ns}")
     deltas = _list_of(vconf.get("deltas", [0.1, 0.01]), "verify.deltas",
-                      lambda d: _is_number(d) and 0.0 < d < 1.0,
+                      lambda d: is_number(d) and 0.0 < d < 1.0,
                       "numbers in (0, 1)")
     tails_at = _list_of(vconf.get("tails_at", [[1_000, 1.0]]), "verify.tails_at",
                         lambda p: isinstance(p, list) and len(p) == 2,
@@ -544,7 +537,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if "poisson" in checks:
         m_poisson = _integer(pconf.get("replicates", 100_000),
                              "verify.poisson.replicates", 2)
-    threads = _integer(conf["threads"], "threads", 1)
     seed = conf["seed"]
 
     cells = []
@@ -565,7 +557,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"verify.tails_at names no (n, alpha) cell of the "
                          f"grid; got {tails_at}")
     out = _outdir(conf)
-    results = _map_cells(_verify_cell, cells, threads)
+    results = _map_cells(_verify_cell, cells, conf["threads"])
 
     report = {"schema_version": SCHEMA_VERSION, "seed": seed,
               "replicates": replicates, "cells": results}
@@ -612,17 +604,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     conf = _merge_args(load_config(args.config), args)
     oconf = _object(conf.get("oracle", {}), "oracle")
-    n = _integer(oconf.get("n", 6), "oracle.n", 3,
+    n = _integer(oconf.get("n", 6), "oracle.n", MIN_N["three-cluster"],
                  ", since the data set has three clusters")
     if n > MAX_ENUM_N:
         raise ValueError(f"oracle.n must be <= {MAX_ENUM_N}, the largest n "
                          f"whose posterior is enumerated; got {n}")
-    alpha = float(_number(oconf.get("alpha", 1.0), "oracle.alpha", _positive,
-                          "a positive number"))
+    alpha = float(check(oconf.get("alpha", 1.0), "oracle.alpha", POSITIVE))
     sweeps = _integer(oconf.get("sweeps", 50_000), "oracle.sweeps", 1)
     burnin = _integer(oconf.get("burnin", 1_000), "oracle.burnin", 0)
-    tv_limit = float(_number(oconf.get("tv_limit", 0.1), "oracle.tv_limit",
-                             _positive, "a positive number"))
+    tv_limit = float(check(oconf.get("tv_limit", 0.1), "oracle.tv_limit", POSITIVE))
     samplers = _list_of(oconf.get("samplers", list(EXACT_KINDS)),
                         "oracle.samplers", EXACT_KINDS.__contains__,
                         f"exact sampler kinds from {list(EXACT_KINDS)}")

@@ -4,7 +4,8 @@ The chain state one sweep hands the next is the partition and alpha."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,6 +29,32 @@ class RunawayExtensionError(RuntimeError):
             f"extension loop exceeded {cap} iterations (umin={umin:.3e})")
 
 
+# Setting rules: a rule is a test and, in words, the values it passes. JSON
+# ``true`` and ``false`` load as bools, a subclass of int; no number is a bool.
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer, never a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A Python or numpy integer or real, never a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+FINITE = (lambda v: is_number(v) and -math.inf < v < math.inf, "a finite number")
+POSITIVE = (lambda v: is_number(v) and 0.0 < v < math.inf, "a positive finite number")
+
+
+def check(value, name: str, rule):
+    """``value`` if ``rule`` accepts it, else a ValueError naming ``name``."""
+    ok, what = rule
+    if not ok(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Univariate Normal mixture with fixed observation variance and a
@@ -46,18 +73,10 @@ class ModelConfig:
     alpha_fixed: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sigma2 <= 0.0 or not math.isfinite(self.sigma2):
-            raise ValueError(f"sigma2 must be positive and finite: {self.sigma2}")
-        if self.base_var <= 0.0 or not math.isfinite(self.base_var):
-            raise ValueError(f"base_var must be positive and finite: {self.base_var}")
-        if not math.isfinite(self.base_mean):
-            raise ValueError("base_mean must be finite")
-        if self.alpha_prior_shape <= 0.0:
-            raise ValueError("alpha_prior_shape must be positive")
-        if self.alpha_prior_rate is not None and self.alpha_prior_rate <= 0.0:
-            raise ValueError("alpha_prior_rate must be positive when given")
-        if self.alpha_fixed is not None and self.alpha_fixed <= 0.0:
-            raise ValueError("alpha_fixed must be positive when given")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None and f.default is None):
+                check(value, f.name, MODEL_RULES[f.name])
 
     def resolved_for(self, n: int) -> "ModelConfig":
         """Fill the data-size-dependent default prior rate 3*log(n)."""
@@ -67,6 +86,12 @@ class ModelConfig:
             # log(1) = 0 is not a usable rate; fall back to shape/1
             return replace(self, alpha_prior_rate=1.0)
         return replace(self, alpha_prior_rate=3.0 * math.log(n))
+
+
+# each field's rule; a field whose default is None also accepts None
+MODEL_RULES = {"sigma2": POSITIVE, "base_mean": FINITE, "base_var": POSITIVE,
+               "alpha_prior_shape": POSITIVE, "alpha_prior_rate": POSITIVE,
+               "alpha_fixed": POSITIVE}
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import LABEL_DTYPE, Partition, relabel_compact
+from .core import FINITE, LABEL_DTYPE, Partition, check, is_integer, relabel_compact
 from .randkit import RngStream
 
 THREE_CLUSTER_MEANS = (-3.0, 0.0, 3.0)
@@ -131,20 +130,9 @@ DATASET_KINDS = tuple(GENERATORS)
 MIN_N = {"three-cluster": len(THREE_CLUSTER_MEANS), "zipf": 1}
 
 
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _is_label_cap(value) -> bool:
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 1)
-
-
-# the values each generator param accepts, and their description
-PARAM_RULES = {"max_label": (_is_label_cap, "an integer >= 1"),
-               "exponent": (_is_finite_number, "a finite number"),
-               "separation": (_is_finite_number, "a finite number")}
+# the rule of each generator param
+PARAM_RULES = {"max_label": (lambda v: is_integer(v) and v >= 1, "an integer >= 1"),
+               "exponent": FINITE, "separation": FINITE}
 
 
 def check_dataset(kind: str, n: int, params: dict) -> None:
@@ -161,10 +149,7 @@ def check_dataset(kind: str, n: int, params: dict) -> None:
         if key not in takes:
             raise ValueError(f"dataset kind {kind!r} takes no param {key!r}; "
                              f"its params are {list(takes)}")
-        ok, what = PARAM_RULES[key]
-        if not ok(value):
-            raise ValueError(f"dataset param {key!r} must be {what}, "
-                             f"got {value!r}")
+        check(value, f"dataset param {key!r}", PARAM_RULES[key])
 
 
 def make_dataset(kind: str, rng: RngStream, n: int, **params) -> Dataset:

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .core import is_integer
+
 # clamp window for stick/weight draws: keeps log(w) finite and 1 - w > 0
 WEIGHT_FLOOR = 1e-300
 WEIGHT_CEIL = 1.0 - 1e-16
@@ -24,8 +26,8 @@ _MAX_SEED = 2**64
 
 
 class NoValidCategoryError(ValueError):
-    """Raised when a categorical draw is requested over an empty or fully
-    degenerate (all minus-infinity or NaN) set of log weights."""
+    """Raised when a categorical draw is requested over log weights whose
+    maximum is not finite: none, all minus-infinity or NaN, or a +inf."""
 
 
 class RngStream(np.random.Generator):
@@ -44,10 +46,10 @@ class RngStream(np.random.Generator):
     __slots__ = ()
 
     def __init__(self, seed: int, stream: int = 0) -> None:
-        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _MAX_SEED:
-            raise ValueError(f"seed must be an integer in [0, 2**64): {seed!r}")
-        if not isinstance(stream, (int, np.integer)) or stream < 0:
-            raise ValueError(f"stream must be a nonnegative integer: {stream!r}")
+        if not (is_integer(seed) and 0 <= seed < _MAX_SEED):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        if not (is_integer(stream) and stream >= 0):
+            raise ValueError(f"stream must be an integer >= 0, got {stream!r}")
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
         super().__init__(np.random.PCG64(ss))
 
@@ -143,12 +145,12 @@ def sample_categorical_logweights(rng: RngStream, logweights):
     if type(logweights) is np.ndarray and logweights.ndim == 2:
         return _categorical_columns(rng, logweights)
     # NaN entries never raise mx, so an empty, all -inf or all-NaN list
-    # leaves it at -inf
+    # leaves it at -inf; a finite maximum adds exp(0) = 1 to the total
     mx = -math.inf
     for w in logweights:
         if w > mx:
             mx = w
-    if mx == -math.inf:
+    if not math.isfinite(mx):
         raise NoValidCategoryError("no category with positive weight")
     total = 0.0
     cum = []
@@ -156,8 +158,6 @@ def sample_categorical_logweights(rng: RngStream, logweights):
         d = w - mx
         total += math.exp(d) if d > LOG_UNDERFLOW else 0.0
         cum.append(total)
-    if total <= 0.0:
-        raise NoValidCategoryError("all categorical weights underflowed")
     r = rng.random() * total
     for k, c in enumerate(cum):
         if c > r:

@@ -57,6 +57,7 @@ from .core import (
     Partition,
     RunawayExtensionError,
     TraceRecord,
+    is_integer,
     log_likelihood,
     relabel_compact,
     relabel_compact_with_map,  # not called here; perfbench patches it on this module
@@ -126,13 +127,16 @@ def _posterior(count, total, prior, noise=0.0):
     return (m0_prec0 + total / s2) / prec, 1.0 / prec + noise
 
 
-def sample_atoms_conjugate(rng: RngStream, data, partition: Partition,
-                           cfg: ModelConfig) -> np.ndarray:
-    """Posterior draw of each occupied component's location."""
+def sample_atoms_conjugate(rng: RngStream, data, partition: Partition, cfg: ModelConfig,
+                           components: int | None = None) -> np.ndarray:
+    """Posterior draw of the first ``components`` locations (by default the
+    occupied ones); a component with no members draws from the prior."""
     y = np.asarray(data, dtype=float)
-    sums = np.bincount(partition.labels, weights=y,
-                       minlength=partition.num_blocks + 1)[1:]
-    mean, var = _posterior(partition.sizes, sums, _conjugate_prior(cfg))
+    k = partition.num_blocks if components is None else components
+    counts = np.zeros(k)
+    counts[:partition.num_blocks] = partition.sizes
+    sums = np.bincount(partition.labels, weights=y, minlength=k + 1)[1:]
+    mean, var = _posterior(counts, sums, _conjugate_prior(cfg))
     return rng.normal(mean, np.sqrt(var))
 
 
@@ -435,7 +439,7 @@ BGS_BLOCK_WEIGHTS = 1 << 14
 
 
 def _check_truncation(L) -> None:
-    if isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < 1:
+    if not (is_integer(L) and L >= 1):
         raise ValueError("blocked Gibbs requires a truncation level L >= 1, "
                          f"an integer (got {L!r})")
 
@@ -457,17 +461,12 @@ def bgs_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
             f"state has {state.partition.num_blocks} blocks, truncation is {L}")
 
     def kernel(y, part, alpha):
-        counts = np.zeros(L)
-        counts[:part.num_blocks] = part.sizes
-        sums = np.zeros(L)
-        sums[:part.num_blocks] = np.bincount(part.labels, weights=y,
-                                             minlength=part.num_blocks + 1)[1:]
         if L == 1:
             w = np.ones(1)
         else:
+            counts = np.bincount(part.labels, minlength=L + 1)[1:]
             w = sample_dirichlet(rng, counts + alpha / L)
-        mean, var = _posterior(counts, sums, _conjugate_prior(cfg))
-        atoms = rng.normal(mean, np.sqrt(var))
+        atoms = sample_atoms_conjugate(rng, y, part, cfg, L)
 
         logpi = np.log(w)[:, None]
         atoms_col = atoms[:, None]

@@ -153,6 +153,8 @@ class TestResolvePartitionSizes:
 
     def test_explicit_sizes(self):
         assert np.array_equal(resolve_partition_sizes([2, 3, 1], 6), [2, 3, 1])
+        for spec in ((2, np.int64(4)), np.array([3, 3])):
+            assert resolve_partition_sizes(spec, 6).tolist() == list(spec)
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -165,6 +167,12 @@ class TestResolvePartitionSizes:
             resolve_partition_sizes([2, 3], 6)
         with pytest.raises(ValueError):
             resolve_partition_sizes([2, 0, 4], 6)
+        # never truncated or cast: only a list of integers is a size list
+        for spec in ([2.7, 3.9], [True, 4], 5, np.array([2.0, 3.0])):
+            with pytest.raises(ValueError, match="sizes must be a list of integers"):
+                resolve_partition_sizes(spec, 5)
+        with pytest.raises(ValueError, match="sizes sum to 0"):
+            resolve_partition_sizes([], 5)
         with pytest.raises(ValueError):
             resolve_partition_sizes("singleton", 0)
 

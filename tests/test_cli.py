@@ -203,6 +203,29 @@ class TestRun:
         a.pop("timing"), b.pop("timing")
         assert a == b
 
+    def test_large_n_takes_the_contingency_binder_route(self, tmp_path,
+                                                        monkeypatch):
+        import dpslice.cli as cli
+
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("the matrix route ran above MATRIX_N_LIMIT")
+
+        monkeypatch.setattr(cli, "accumulate_coclustering", no_matrix)
+        n = cli.MATRIX_N_LIMIT + 1
+        cfg = _write_config(tmp_path, _run_config(tmp_path, "big", n=n, iters=10,
+                                                  burnin=0))
+        assert main(["run", "--config", cfg]) == 0
+        binder = _read_csv(tmp_path / "big" / "binder.csv")
+        assert len(binder) == 1 and len(binder[0]) == n
+        assert not (tmp_path / "big" / "coclustering.csv").exists()
+
+    def test_desk_preset_overrides_sweep_counts(self, tmp_path):
+        cfg = _write_config(tmp_path, _run_config(tmp_path, "desk", n=12))
+        assert main(["run", "--config", cfg, "--preset", "desk"]) == 0
+        summary = json.loads((tmp_path / "desk" / "summary.json").read_text())
+        assert (summary["iters"], summary["burnin"]) == (1_000, 1_000)
+        assert len(_read_csv(tmp_path / "desk" / "trace.csv")) == 2_001
+
     def test_sampler_wrong_type_is_config_error(self, tmp_path):
         conf = _run_config(tmp_path, "bad", sampler=["slice"])
         assert main(["run", "--config", _write_config(tmp_path, conf)]) == 2
@@ -467,7 +490,9 @@ class TestVerify:
         ("replicates", "1000", ["overhead"]), ("replicates", 2.7, ["overhead"]),
         ("merge", {"n": 3, "replicates": "1000"}, ["merge"]),
         ("poisson", {"replicates": 2.5}, ["poisson"]),
-        ("spec", "balanced:x", ["overhead"]), ("spec", "balanced:500", ["tails"])])
+        ("spec", "balanced:x", ["overhead"]), ("spec", "balanced:500", ["tails"]),
+        ("spec", [25.5, 25.5], ["overhead"]), ("spec", [True, 49], ["overhead"]),
+        ("spec", 5, ["overhead"])])
     def test_malformed_setting_is_config_error(self, tmp_path, capsys,
                                                monkeypatch, key, value, checks):
         import dpslice.cli as cli
@@ -718,6 +743,20 @@ class TestErrorHandling:
         ("verify", {"verify": {"ns": [50], "alphas": [1.0], "replicates": 100,
                                "checks": ["overhead"]}, "threads": 0},
          "threads must be >= 1"),
+        ("verify", {"verify": {"ns": [50], "alphas": [1.0], "replicates": 100,
+                               "checks": ["overhead"]}, "seed": True},
+         "seed must be an integer in [0, 2**64), got True"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slice", "n": 20}],
+                                     "iters": 10}, "seed": "x"},
+         "seed must be an integer in [0, 2**64), got 'x'"),
+        ("run", {"threads": 0}, "threads must be >= 1"),
+        ("benchmark", {"benchmark": {"grid": [{"n": 40}], "iters": 10}},
+         "benchmark cell 0 sampler must be set"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slice"}], "iters": 10}},
+         "benchmark cell 0 n must be set"),
+        ("generate", {"datasets": [{"n": 40}]}, "datasets[0].kind must be set"),
+        ("generate", {"datasets": [{"kind": "zipf", "n": 9}, {"kind": "zipf"}]},
+         "datasets[1].n must be set"),
     ])
     def test_malformed_setting_is_config_error(self, tmp_path, capsys, command,
                                                conf, message):

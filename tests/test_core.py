@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from dpslice.core import (
+    FINITE,
+    POSITIVE,
     InconsistentStateError,
     MixtureState,
     ModelConfig,
     Partition,
     TraceRecord,
+    check,
+    is_integer,
+    is_number,
     log_likelihood,
     rand_index,
     relabel_compact,
@@ -118,6 +123,7 @@ class TestPartitionValidate:
         ([1, 1, 3], [2, 1]),          # gap in label range
         ([1, 1, 2], [1, 2]),          # sizes disagree
         ([], []),                     # empty
+        ([2, 2, 1], [1, 2]),          # sizes agree, not order of appearance
     ])
     def test_rejects_invalid(self, labels, sizes):
         part = Partition(labels=np.asarray(labels, dtype=np.int64),
@@ -166,10 +172,50 @@ class TestModelConfig:
         {"sigma2": 0.0}, {"sigma2": -1.0}, {"base_var": 0.0},
         {"base_mean": math.inf}, {"alpha_prior_shape": 0.0},
         {"alpha_prior_rate": -1.0}, {"alpha_fixed": 0.0},
+        {"sigma2": True}, {"base_mean": "0"}, {"alpha_fixed": np.True_},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ModelConfig(**kwargs)
+
+    def test_message_names_the_field_its_rule_and_the_value(self):
+        with pytest.raises(ValueError, match=r"^sigma2 must be a positive "
+                                             r"finite number, got True$"):
+            ModelConfig(sigma2=True)
+        with pytest.raises(ValueError, match=r"^base_mean must be a finite "
+                                             r"number, got nan$"):
+            ModelConfig(base_mean=math.nan)
+
+    def test_numpy_values_and_unset_fields_accepted(self):
+        cfg = ModelConfig(sigma2=np.float64(0.5), base_mean=np.int64(-1),
+                          base_var=np.float32(2.0), alpha_prior_rate=None,
+                          alpha_fixed=np.int64(3))
+        assert (cfg.sigma2, cfg.base_mean, cfg.alpha_fixed) == (0.5, -1, 3)
+
+
+class TestSettingRules:
+    @pytest.mark.parametrize("value,integer,number", [
+        (3, True, True), (np.int64(3), True, True), (np.uint8(0), True, True),
+        (2.5, False, True), (np.float32(1.5), False, True), (math.inf, False, True),
+        (True, False, False), (np.True_, False, False), ("1", False, False),
+        (None, False, False), ([1], False, False)])
+    def test_integer_and_number(self, value, integer, number):
+        assert is_integer(value) is integer
+        assert is_number(value) is number
+
+    @pytest.mark.parametrize("value,finite,positive", [
+        (1, True, True), (np.float64(0.5), True, True), (0.0, True, False),
+        (-2, True, False), (math.inf, False, False), (math.nan, False, False),
+        (False, False, False), ("1", False, False)])
+    def test_finite_and_positive(self, value, finite, positive):
+        assert bool(FINITE[0](value)) is finite
+        assert bool(POSITIVE[0](value)) is positive
+
+    def test_check_returns_the_value_or_names_the_setting(self):
+        assert check(2, "n", POSITIVE) == 2
+        with pytest.raises(ValueError, match=r"^oracle\.alpha must be a positive "
+                                             r"finite number, got '1'$"):
+            check("1", "oracle.alpha", POSITIVE)
 
 
 class TestTraceRecord:

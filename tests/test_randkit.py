@@ -115,7 +115,7 @@ class TestRngStream:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("seed,stream", [(-1, 0), (2**64, 0), (0, -2),
-                                             (1.5, 0), (0, 0.5)])
+                                             (1.5, 0), (0, 0.5), (True, 0)])
     def test_bad_identifiers_rejected(self, seed, stream):
         with pytest.raises(ValueError):
             RngStream(seed=seed, stream=stream)
@@ -285,6 +285,11 @@ class TestCategorical:
         with pytest.raises(NoValidCategoryError):
             sample_categorical_logweights(RngStream(seed=0),
                                           [-math.inf, -math.inf])
+        # a +inf maximum is rejected alike by the scalar and the column form
+        for logw in ([0.0, math.inf], np.array([[0.0], [math.inf]])):
+            with pytest.raises(NoValidCategoryError,
+                               match="no category with positive weight"):
+                sample_categorical_logweights(RngStream(seed=0), logw)
 
     def test_empty_raises(self):
         with pytest.raises(NoValidCategoryError):

@@ -168,6 +168,19 @@ class TestAtomsConjugate:
         # separated blocks pull their atoms toward their own means
         assert atoms[1] > 2.0 and atoms[2] < -2.0
 
+    def test_components_past_the_blocks_draw_from_the_prior(self):
+        # blocked Gibbs draws L atoms for H <= L blocks: the occupied ones
+        # match the default draw, the empty ones come from the base measure
+        y = np.array([0.0, 5.0, 0.2, -5.0])
+        part = relabel_compact([1, 2, 1, 3])
+        occupied = sample_atoms_conjugate(RngStream(seed=113), y, part, CFG)
+        atoms = sample_atoms_conjugate(RngStream(seed=113), y, part, CFG, 5)
+        assert atoms.shape == (5,)
+        assert atoms[:3].tolist() == occupied.tolist()
+        cfg = ModelConfig(base_mean=7.0, base_var=1e-12)
+        assert np.allclose(sample_atoms_conjugate(RngStream(seed=114), y, part,
+                                                  cfg, 6)[3:], 7.0, atol=1e-4)
+
 
 class TestSampleSlices:
     def test_support_below_own_weight(self):
