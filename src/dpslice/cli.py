@@ -55,6 +55,7 @@ from .datagen import (
 )
 from .diagnostics import (
     MIN_TRACE_LENGTH,
+    _compact,
     accumulate_coclustering,
     binder_point_estimate,
     binder_point_estimate_sparse,
@@ -237,11 +238,27 @@ def _trace_to_csv(path: Path, records) -> None:
             fh.write(rec.csv_row() + "\n")
 
 
+def _labels_csv(labels) -> str:
+    return ",".join(map(str, labels.tolist()))
+
+
 def _snapshots_to_csv(path: Path, iters, snapshots) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("iter,labels\n")
         for it, lab in zip(iters, snapshots):
-            fh.write(f"{it},\"{','.join(str(int(v)) for v in lab)}\"\n")
+            fh.write(f"{it},\"{_labels_csv(lab)}\"\n")
+
+
+def _coclustering_to_csv(path: Path, counts: np.ndarray, samples: int) -> None:
+    """The co-clustering probabilities counts / samples, byte for byte as
+    ``np.savetxt(path, counts / samples, delimiter=",", fmt="%.6f")`` writes
+    them. A count is an integer in [0, samples], so each entry is looked up
+    in a table of the samples + 1 strings; rows are written one at a time,
+    which keeps the n x n text out of memory."""
+    table = ["%.6f" % (k / samples) for k in range(samples + 1)]
+    with open(path, "w", newline="") as fh:
+        for row in counts.astype(np.intp):
+            fh.write(",".join(map(table.__getitem__, row.tolist())) + "\n")
 
 
 def _check_sweeps(conf: dict, where: str = "") -> float:
@@ -279,11 +296,13 @@ def _ess_block(records) -> dict:
 
 
 def _binder_from_snapshots(snapshots, n: int):
-    """The Binder estimate, and the co-clustering probabilities when n is
-    small enough for the matrix route (else None)."""
+    """The Binder estimate, and the co-clustering counts when n is small
+    enough for the matrix route (else None). The matrix route compacts the
+    snapshots once for both the counts and the search."""
     if n <= MATRIX_N_LIMIT:
-        counts = accumulate_coclustering(snapshots)
-        return binder_point_estimate(snapshots, counts), counts / len(snapshots)
+        compact = _compact(snapshots)
+        counts = accumulate_coclustering(snapshots, compact)
+        return binder_point_estimate(snapshots, counts, compact), counts
     return binder_point_estimate_sparse(snapshots), None
 
 
@@ -350,12 +369,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     _snapshots_to_csv(out / "partitions.csv", result.snapshot_iters,
                       result.snapshots)
-    binder, probabilities = _binder_from_snapshots(result.snapshots, ds.n)
+    binder, counts = _binder_from_snapshots(result.snapshots, ds.n)
     with open(out / "binder.csv", "w", newline="") as fh:
-        fh.write(",".join(str(int(v)) for v in binder.labels) + "\n")
-    if probabilities is not None:
-        np.savetxt(out / "coclustering.csv", probabilities,
-                   delimiter=",", fmt="%.6f")
+        fh.write(_labels_csv(binder.labels) + "\n")
+    if counts is not None:
+        _coclustering_to_csv(out / "coclustering.csv", counts,
+                             len(result.snapshots))
     post = result.records[conf["burnin"]:]
     summary.update({
         "binder": {"sample_index": binder.sample_index, "loss": binder.loss,

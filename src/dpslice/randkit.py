@@ -6,6 +6,13 @@ directly. A pair reproduces a run bit for bit and distinct stream ids give
 independent sequences (numpy ``SeedSequence`` spawn-key guarantees).
 Beta and Dirichlet outputs are clamped away from 0 and 1 so that downstream
 logs and slice intervals stay finite.
+
+The categorical rule draws nothing: :func:`categorical_index` and
+:func:`_categorical_columns` are pure functions of the log weights and the
+uniforms they are handed. A caller that picks many times draws its uniforms
+in one ``rng.random(n)`` call, which gives the numbers n scalar calls
+would; :func:`sample_categorical_logweights` is the wrapper that draws them
+for one pick or one batch.
 """
 from __future__ import annotations
 
@@ -124,18 +131,12 @@ def sample_dirichlet(rng: RngStream, concentration, batch: int | None = None) ->
 
 
 def sample_categorical_logweights(rng: RngStream, logweights):
-    """Index draw from unnormalized log weights.
-
-    Uses max-shifted exponential normalization; shifted weights below the
-    exp underflow point contribute exactly zero mass, and a category with
-    zero mass is never returned.
-
-    A list or 1-D array is one draw, made by a scalar loop whose cost stays
-    proportional to the number of candidates: the slice and sequential
-    passes call it once per observation with a short candidate list. A 2-D
-    array of shape (K, m) holds m draws, the candidates of each down axis 0,
-    and the m draws share one ``rng.random(m)`` call (see
-    :func:`_categorical_columns`).
+    """Index draw from unnormalized log weights: :func:`categorical_index`
+    with one ``rng.random()`` uniform, or for a 2-D array of shape (K, m),
+    m draws, the candidates of each down axis 0, picked by
+    :func:`_categorical_columns` with one ``rng.random(m)`` call. That call
+    yields the numbers m scalar calls would, so either form leaves the
+    stream where one scalar draw per pick leaves it.
 
     Returns
     -------
@@ -143,7 +144,21 @@ def sample_categorical_logweights(rng: RngStream, logweights):
         0-based index into ``logweights``; for a (K, m) array, m indices.
     """
     if type(logweights) is np.ndarray and logweights.ndim == 2:
-        return _categorical_columns(rng, logweights)
+        return _categorical_columns(logweights, rng.random(logweights.shape[1]))
+    return categorical_index(logweights, rng.random())
+
+
+def categorical_index(logweights, u: float) -> int:
+    """The index that the uniform ``u`` in [0, 1) picks from unnormalized
+    log weights, a list or 1-D array; a pure function of its arguments.
+
+    Uses max-shifted exponential normalization; shifted weights below the
+    exp underflow point contribute exactly zero mass, and a category with
+    zero mass is never returned. The pick is the first category whose
+    running mass sum exceeds u times the total, by a scalar loop whose cost
+    stays proportional to the number of candidates: the slice and sequential
+    passes call it once per observation with a short candidate list.
+    """
     # NaN entries never raise mx, so an empty, all -inf or all-NaN list
     # leaves it at -inf; a finite maximum adds exp(0) = 1 to the total
     mx = -math.inf
@@ -158,7 +173,7 @@ def sample_categorical_logweights(rng: RngStream, logweights):
         d = w - mx
         total += math.exp(d) if d > LOG_UNDERFLOW else 0.0
         cum.append(total)
-    r = rng.random() * total
+    r = u * total
     for k, c in enumerate(cum):
         if c > r:
             return k
@@ -173,19 +188,18 @@ def _last_with_mass(cum) -> int:
     return 0
 
 
-def _categorical_columns(rng: RngStream, logweights: np.ndarray) -> np.ndarray:
-    """One categorical draw per column of a (K, m) array of log weights.
+def _categorical_columns(logweights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One categorical pick per column of a (K, m) array of log weights,
+    column j by the uniform ``u[j]``.
 
-    Each column follows the scalar loop's rules: the shift by its maximum
-    (NaN entries ignored), the cut at LOG_UNDERFLOW, a running sum down the
-    column (``np.add.accumulate`` adds in order, as the loop does), the
-    first entry strictly above u * total, and the last category with mass
-    when u * total rounds up to the total. The uniforms come from one
-    ``rng.random(m)`` call, which yields the numbers m scalar calls would.
-    So a column picks what the scalar loop picks and leaves the stream where
-    m scalar calls leave it, up to ``np.exp`` and ``math.exp`` differing in
-    the last bit, which changes a pick only when the uniform falls within
-    rounding of a cumulative boundary.
+    Each column follows the rules of :func:`categorical_index`: the shift by
+    its maximum (NaN entries ignored), the cut at LOG_UNDERFLOW, a running
+    sum down the column (``np.add.accumulate`` adds in order, as the loop
+    does), the first entry strictly above u * total, and the last category
+    with mass when u * total rounds up to the total. So a column picks what
+    the scalar rule picks with the same uniform, up to ``np.exp`` and
+    ``math.exp`` differing in the last bit, which changes a pick only when
+    the uniform falls within rounding of a cumulative boundary.
     """
     k, m = logweights.shape
     mx = np.fmax.reduce(logweights, axis=0) if k else None
@@ -197,8 +211,7 @@ def _categorical_columns(rng: RngStream, logweights: np.ndarray) -> np.ndarray:
     np.copyto(mass, 0.0, where=cut)
     # each column's maximum adds exp(0) = 1, so every total is at least 1
     cum = np.add.accumulate(mass, axis=0, out=mass)
-    r = rng.random(m)
-    r *= cum[-1]
+    r = np.multiply(u, cum[-1])
     idx = k - np.add.reduce(cum > r, axis=0)
     if idx.max(initial=0) == k:
         for j in np.flatnonzero(idx == k).tolist():

@@ -19,11 +19,21 @@ the reported log likelihood and the trace record.
 
 Blocked Gibbs scores every observation against all L components, so its
 allocation is vectorized: it scores a block of observations at a time and
-draws the whole block with one call, still n*L candidates per sweep. The
-slice pass and the sequential passes loop over observations in Python with
-scalar per-component arithmetic, so their cost stays proportional to the
-candidates each observation actually has. Block draws (weights, atoms, slice
-variables) are vectorized.
+picks the whole block with one batch of uniforms, still n*L candidates per
+sweep. The slice pass and the sequential passes loop over observations in
+Python with scalar per-component arithmetic, so their cost stays
+proportional to the candidates each observation actually has. Block draws
+(weights, atoms, slice variables) are vectorized.
+
+The categorical rule of ``randkit`` draws nothing; the allocation passes
+hand it their uniforms. The slice, marginal slice and collapsed urn passes
+draw no random number while they allocate: each takes its n uniforms, one
+per observation in order, from one ``rng.random(n)`` call before the loop,
+the numbers n scalar calls would give. An observation of a slice pass whose
+one candidate is the heaviest component takes it without scoring, and its
+uniform goes unused. The urn sweep with atoms keeps one draw per
+observation, because an observation that opens a cluster draws the new
+atom before the next observation picks.
 
 One helper, ``_posterior``, holds the Normal-Normal conjugate update behind
 every posterior atom draw and predictive density. The two collapsed passes
@@ -64,6 +74,7 @@ from .core import (
 )
 from .randkit import (
     RngStream,
+    categorical_index,
     clamp_weights,
     sample_beta,
     sample_categorical_logweights,
@@ -153,12 +164,29 @@ def sample_slices(rng: RngStream, partition: Partition, allocated):
         raise InconsistentStateError("slice interval requires positive weights")
     u = rng.random(wi.shape)
     u *= wi
-    umin = u.min(-1)
+    umin = _row_min(u)
     while (umin <= 0.0).any():
         zero = u <= 0.0
         u[zero] = wi[zero] * rng.random(int(zero.sum()))
-        umin = u.min(-1)
+        umin = _row_min(u)
     return u, float(umin) if u.ndim == 1 else umin
+
+
+# the longest row whose minimum _row_min takes column by column: numpy's
+# reduction along a short last axis costs about 15 times the running
+# minimum at 6 entries a row, and breaks even near 48
+SHORT_ROW = 32
+
+
+def _row_min(u: np.ndarray):
+    """``u.min(-1)``, exactly (a minimum does not round), taken as a
+    running minimum over the columns when the rows are short."""
+    if u.ndim == 1 or u.shape[-1] > SHORT_ROW:
+        return u.min(-1)
+    m = u[:, 0].copy()
+    for j in range(1, u.shape[1]):
+        np.minimum(m, u[:, j], out=m)
+    return m
 
 
 def extend_components(rng: RngStream, residual, umin, alpha: float,
@@ -297,23 +325,25 @@ def _slice_candidates(all_weights, slices):
 def slice_allocation_update(rng: RngStream, data, all_weights, atoms, slices,
                             cfg: ModelConfig) -> np.ndarray:
     """Joint allocation draw: each observation picks among the components
-    whose weight strictly exceeds its slice, with Normal likelihood weights."""
+    whose weight strictly exceeds its slice, with Normal likelihood weights.
+
+    The n uniforms come from one ``rng.random(n)`` call, one per observation
+    in order. An observation whose only candidate is the heaviest component
+    takes it without scoring, and still uses up its uniform."""
     order, pos_l = _slice_candidates(all_weights, slices)
-    k_total = order.size
-    order_l = order.tolist()
+    last = order.size - 1
+    order_l = (order + 1).tolist()
     atoms_sorted = np.asarray(atoms, dtype=float)[order].tolist()
-    inv2s = 0.5 / cfg.sigma2
+    neg_inv2s = -0.5 / cfg.sigma2
     y_l = np.asarray(data, dtype=float).tolist()
-    out = np.empty(len(y_l), dtype=LABEL_DTYPE)
-    for i, yi in enumerate(y_l):
-        p = pos_l[i]
-        logw = []
-        for j in range(p, k_total):
-            d = yi - atoms_sorted[j]
-            logw.append(-inv2s * d * d)
-        idx = sample_categorical_logweights(rng, logw)
-        out[i] = order_l[p + idx] + 1
-    return out
+    out = []
+    for yi, p, u in zip(y_l, pos_l, rng.random(len(y_l)).tolist()):
+        if p == last:
+            out.append(order_l[last])
+            continue
+        logw = [neg_inv2s * (yi - a) * (yi - a) for a in atoms_sorted[p:]]
+        out.append(order_l[p + categorical_index(logw, u)])
+    return np.array(out, dtype=LABEL_DTYPE)
 
 
 def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
@@ -346,18 +376,20 @@ def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
     for m, t in zip(counts, sums):
         mean, var = _posterior(m, t, prior, s2)
         pred.append((mean, var, LOG_2PI + math.log(var)))
-    for i, yi in enumerate(y_l):
+    last = k_total - 1
+    for i, (yi, p, u) in enumerate(zip(y_l, pos_l,
+                                       rng.random(len(y_l)).tolist())):
         j = at[i]
         counts[j] -= 1
         sums[j] -= yi
         mean, var = _posterior(counts[j], sums[j], prior, s2)
         pred[j] = (mean, var, LOG_2PI + math.log(var))
-        p = pos_l[i]
-        logw = []
-        for mean, var, norm in pred[p:]:
-            d = yi - mean
-            logw.append(-0.5 * (norm + d * d / var))
-        j = p + sample_categorical_logweights(rng, logw)
+        if p == last:
+            j = last
+        else:
+            logw = [-0.5 * (norm + (yi - mean) * (yi - mean) / var)
+                    for mean, var, norm in pred[p:]]
+            j = p + categorical_index(logw, u)
         at[i] = j
         counts[j] += 1
         sums[j] += yi
@@ -568,7 +600,8 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
         pnorm = -0.5 * (LOG_2PI + math.log(pvar))
         log_alpha = math.log(alpha)
 
-        for i, yi in enumerate(y.tolist()):
+        for i, (yi, u) in enumerate(zip(y.tolist(),
+                                        rng.random(y.size).tolist())):
             c = labels[i] - 1
             counts[c] -= 1
             sums[c] -= yi
@@ -585,7 +618,7 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
                 logw.append(math.log(counts[k]) - 0.5 * (norm + d * d / var))
             d0 = yi - m0
             logw.append(log_alpha + pnorm - inv2p * d0 * d0)
-            idx = sample_categorical_logweights(rng, logw)
+            idx = categorical_index(logw, u)
             if idx == len(active):
                 slot = free.pop() if free else len(counts)
                 if slot == len(counts):

@@ -17,6 +17,7 @@ from dpslice.cli import (
     DEFAULT_SEED,
     SCHEMA_VERSION,
     VERIFY_COLUMNS,
+    _coclustering_to_csv,
     main,
 )
 
@@ -116,6 +117,18 @@ class TestRun:
                                        "ess_H_zero_variance"}
         assert set(summary["timing"]) >= {"seconds_window", "ess_loglik_per_s",
                                           "mean_sweep_ns", "median_sweep_ns"}
+
+    @pytest.mark.parametrize("samples", [1, 7, 200])
+    def test_coclustering_table_writer_matches_savetxt(self, tmp_path, samples):
+        gen = np.random.default_rng(samples)
+        counts = gen.integers(0, samples + 1, size=(23, 23)).astype(float)
+        counts[:, 0] = 0.0
+        counts[:, -1] = samples
+        _coclustering_to_csv(tmp_path / "table.csv", counts, samples)
+        np.savetxt(tmp_path / "ref.csv", counts / samples, delimiter=",",
+                   fmt="%.6f")
+        assert (tmp_path / "table.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
 
     def test_rerun_identical_up_to_timing(self, tmp_path):
         for sub in ("r1", "r2"):

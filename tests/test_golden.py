@@ -1,5 +1,6 @@
 """Golden regression values: short chains of the five data-conditional
-samplers and the Binder search on a fixed snapshot set.
+samplers, the Binder search on a fixed snapshot set and the output files of
+a small ``dpslice run``.
 
 The default-model values were recorded from the implementation before the
 sweeps shared one driver and the Binder routes shared one loss; the
@@ -15,11 +16,12 @@ prior mean gives the same chains there. The off-default rows run the same
 chains with all three set apart.
 """
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from dpslice.cli import _binder_from_snapshots
+from dpslice.cli import _binder_from_snapshots, main
 from dpslice.core import ModelConfig
 from dpslice.diagnostics import binder_point_estimate_sparse
 from dpslice.randkit import RngStream
@@ -122,3 +124,28 @@ def test_binder_pick_on_fixed_snapshots():
     # the contingency route scores 400 evenly spaced candidates
     sparse = binder_point_estimate_sparse(snaps)
     assert (sparse.sample_index, sparse.loss) == (152, 830.7911111111111)
+
+
+# SHA-256 of the files ``dpslice run`` writes for the CI config (slice,
+# three-cluster data, n=40, 10 burn-in and 50 recorded sweeps, seed 12345),
+# recorded from the writers that formatted every entry on its own
+# (``np.savetxt`` for the co-clustering matrix)
+GOLDEN_RUN_FILES = {
+    "partitions.csv":
+        "806c411dbe0e99cb85ebf75191d4a662fc815be488f977d2bd5a6ae42b02b666",
+    "binder.csv":
+        "196ae58ef1c0d6b3055b260a345b4759772bd4ed60a87bc45b268c15e15ea775",
+    "coclustering.csv":
+        "e891b376be04c04ea33a7c11a6be95178128f334a9323a028e16ca6e5e614622",
+}
+
+
+def test_run_output_files(tmp_path):
+    conf = {"sampler": "slice", "dataset": {"kind": "three-cluster", "n": 40},
+            "iters": 50, "burnin": 10, "time_budget_s": 600}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(conf))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    for name, digest in GOLDEN_RUN_FILES.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

@@ -12,6 +12,7 @@ from dpslice.randkit import (
     RngStream,
     WEIGHT_CEIL,
     WEIGHT_FLOOR,
+    categorical_index,
     clamp_weights,
     sample_beta,
     sample_categorical_logweights,
@@ -320,6 +321,24 @@ class TestCategorical:
         assert sample_categorical_logweights(rng, [0.0, -math.inf]) == 0
         assert sample_categorical_logweights(rng, [0.0, 0.0, -800.0, -math.inf]) == 1
         assert sample_categorical_logweights(rng, [0.0, 0.0]) == 1
+
+    @pytest.mark.parametrize("logw", [
+        [math.nan, 0.0, math.nan], [math.nan, 0.0, math.nan, 1.0, math.nan],
+        [0.0, -math.inf], [-math.inf, -math.inf, 0.0], [-800.0, 0.0],
+        [0.0, 0.0, -800.0, -math.inf], [0.0, -745.0, -744.9], [0.0, 0.0],
+        [math.log(1.0), math.log(3.0)]])
+    @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 1.0 - 2**-53, 1.0])
+    def test_pure_rule_matches_wrapper(self, logw, u):
+        # the rule handed u picks what the wrapper picks when its stream
+        # yields u; u = 1 makes u * total round to the total
+        assert categorical_index(logw, u) == \
+            sample_categorical_logweights(_FixedUniform(u), logw)
+
+    @pytest.mark.parametrize("logw", [[], [math.nan, math.nan],
+                                      [-math.inf, -math.inf], [0.0, math.inf]])
+    def test_pure_rule_rejects_no_valid_category(self, logw):
+        with pytest.raises(NoValidCategoryError):
+            categorical_index(logw, 0.5)
 
     @given(logw=st.lists(st.floats(min_value=-50.0, max_value=50.0),
                          min_size=1, max_size=8),

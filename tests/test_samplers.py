@@ -660,6 +660,120 @@ def _reference_marginal_pass(rng, y_l, labels_l, all_w, slices, cfg):
     return labels
 
 
+def _reference_slice_allocation(rng, data, all_w, atoms, slices, cfg,
+                                singles=None):
+    """The slice allocation pass with one ``sample_categorical_logweights``
+    call per observation, single-candidate ones included; appends to
+    ``singles`` whether each observation had one candidate."""
+    order = np.argsort(all_w, kind="stable")
+    pos = np.searchsorted(all_w[order], slices, side="right").tolist()
+    atoms_l = np.asarray(atoms, dtype=float).tolist()
+    inv2s = 0.5 / cfg.sigma2
+    out = []
+    for yi, p in zip(np.asarray(data, dtype=float).tolist(), pos):
+        logw = []
+        for k in order[p:].tolist():
+            d = yi - atoms_l[k]
+            logw.append(-inv2s * d * d)
+        if singles is not None:
+            singles.append(len(logw) == 1)
+        out.append(int(order[p + sample_categorical_logweights(rng, logw)]) + 1)
+    return np.array(out)
+
+
+def _reference_crp_collapsed(state, data, cfg, rng, iteration=0):
+    """The collapsed urn sweep with every cluster's predictive worked out
+    from scratch and one ``sample_categorical_logweights`` call per
+    observation."""
+    def kernel(y, part, alpha):
+        prior = _conjugate_prior(cfg)
+        s2 = prior[2]
+        m0, pvar = _posterior(0, 0.0, prior, s2)
+        counts = part.sizes.tolist()
+        sums = np.bincount(part.labels, weights=y)[1:].tolist()
+        labels = part.labels.tolist()
+        active = list(range(len(counts)))
+        free = []
+        for i, yi in enumerate(y.tolist()):
+            c = labels[i] - 1
+            counts[c] -= 1
+            sums[c] -= yi
+            if counts[c] == 0:
+                active.remove(c)
+                free.append(c)
+            logw = []
+            for k in active:
+                mean, var = _posterior(counts[k], sums[k], prior, s2)
+                d = yi - mean
+                logw.append(math.log(counts[k])
+                            - 0.5 * (LOG_2PI + math.log(var) + d * d / var))
+            d0 = yi - m0
+            logw.append(math.log(alpha) - 0.5 * (LOG_2PI + math.log(pvar))
+                        - 0.5 / pvar * d0 * d0)
+            idx = sample_categorical_logweights(rng, logw)
+            if idx == len(active):
+                slot = free.pop() if free else len(counts)
+                if slot == len(counts):
+                    counts.append(0)
+                    sums.append(0.0)
+                active.append(slot)
+            else:
+                slot = active[idx]
+            counts[slot] += 1
+            sums[slot] += yi
+            labels[i] = slot + 1
+        return labels, len(active), None
+    return samplers._sweep(kernel, state, data, cfg, rng, iteration)
+
+
+class TestAllocationPassesMatchPerObservationDraws:
+    """The slice, marginal slice and collapsed urn passes draw their n
+    uniforms with one ``rng.random(n)`` call and pick with the pure
+    categorical rule; their chains must equal those of references that make
+    one ``sample_categorical_logweights`` call per observation."""
+
+    @staticmethod
+    def _chain(kind, y, cfg, init):
+        res = run_chain(y, cfg, RngStream(seed=210), kind, iters=30, burnin=0,
+                        init_labels=init, time_budget_s=600.0)
+        return ([(r.k_total, r.num_clusters, r.loglik, r.alpha)
+                 for r in res.records], [s.tolist() for s in res.snapshots])
+
+    @pytest.mark.parametrize("data", ["three-cluster", "one-block", "n=1"])
+    @pytest.mark.parametrize("kind", [SamplerKind.SLICE,
+                                      SamplerKind.SLICE_MARGINAL,
+                                      SamplerKind.CRP_COLLAPSED])
+    def test_chain_matches_reference(self, monkeypatch, kind, data):
+        gen = np.random.default_rng(11)
+        cfg, init = ModelConfig(), None
+        if data == "three-cluster":
+            y = np.concatenate([gen.normal(-4.0, 1.0, 10),
+                                gen.normal(0.0, 1.0, 10),
+                                gen.normal(4.0, 1.0, 10)])
+        elif data == "one-block":
+            # one heavy block: almost every slice lies above every other
+            # weight, so most observations have a single candidate
+            y = gen.normal(0.0, 0.3, 60)
+            cfg, init = ModelConfig(alpha_fixed=1.0), np.ones(60, dtype=int)
+        else:
+            y = np.array([0.7])
+        got = self._chain(kind, y, cfg, init)
+        singles = []
+        if kind is SamplerKind.SLICE:
+            def ref(*args):
+                return _reference_slice_allocation(*args, singles=singles)
+            monkeypatch.setattr(samplers, "slice_allocation_update", ref)
+        elif kind is SamplerKind.SLICE_MARGINAL:
+            monkeypatch.setattr(samplers, "_marginal_allocation_pass",
+                                _reference_marginal_pass)
+        else:
+            monkeypatch.setattr(samplers, "crp_sweep_collapsed",
+                                _reference_crp_collapsed)
+        assert self._chain(kind, y, cfg, init) == got
+        if data == "one-block" and kind is SamplerKind.SLICE:
+            assert 0.5 < np.mean(singles) < 1.0
+
+
 class TestMarginalPredictive:
     def test_empty_component_prior_predictive(self):
         mean, var = _posterior(0, 0.0, _conjugate_prior(CFG), CFG.sigma2)
