@@ -55,7 +55,6 @@ from .datagen import (
 )
 from .diagnostics import (
     MIN_TRACE_LENGTH,
-    _compact,
     accumulate_coclustering,
     binder_point_estimate,
     binder_point_estimate_sparse,
@@ -297,12 +296,10 @@ def _ess_block(records) -> dict:
 
 def _binder_from_snapshots(snapshots, n: int):
     """The Binder estimate, and the co-clustering counts when n is small
-    enough for the matrix route (else None). The matrix route compacts the
-    snapshots once for both the counts and the search."""
+    enough for the matrix route (else None)."""
     if n <= MATRIX_N_LIMIT:
-        compact = _compact(snapshots)
-        counts = accumulate_coclustering(snapshots, compact)
-        return binder_point_estimate(snapshots, counts, compact), counts
+        counts = accumulate_coclustering(snapshots)
+        return binder_point_estimate(snapshots, counts), counts
     return binder_point_estimate_sparse(snapshots), None
 
 

@@ -61,13 +61,15 @@ def ess(trace) -> EssResult:
 _CHUNK_COLUMNS = 256
 
 
-def _compact(samples):
+def _compact(samples, n: int | None = None):
     """Stack sampled partitions as 0-based canonical labels, one row per
     sample, with each sample's block count and its sum of squared block
     sizes A_s."""
     parts = [relabel_compact(lab) for lab in samples]
     if not parts:
         raise ValueError("need at least one sampled partition")
+    if n is not None and any(p.n != n for p in parts):
+        raise ValueError(f"sampled partitions do not all have n={n} items")
     labels = np.stack([p.labels for p in parts]) - 1
     blocks = np.array([p.num_blocks for p in parts])
     a = np.array([float(p.sizes @ p.sizes) for p in parts])
@@ -89,13 +91,12 @@ def _one_hot_chunks(labels: np.ndarray, blocks: np.ndarray):
         yield slice(lo, hi), z, cols
 
 
-def accumulate_coclustering(samples, compact=None) -> np.ndarray:
+def accumulate_coclustering(samples) -> np.ndarray:
     """Pairwise co-assignment counts of sampled partitions (label vectors of
     equal length): ``counts[i, j]`` is the number of samples in which items
     i and j share a block, so the diagonal holds the sample count. Summed
-    as Z Z^T over the samples' one-hot block matrix Z. ``compact`` is
-    ``_compact(samples)`` when the caller has it already."""
-    labels, blocks, _ = _compact(samples) if compact is None else compact
+    as Z Z^T over the samples' one-hot block matrix Z."""
+    labels, blocks, _ = _compact(samples)
     n = labels.shape[1]
     counts = np.zeros((n, n))
     for _, z, _ in _one_hot_chunks(labels, blocks):
@@ -141,25 +142,21 @@ def _binder_pick(samples, cand, a, f, s_total: int, c_total: float) -> BinderRes
                         loss=float(scaled[best] / (2.0 * s_total)))
 
 
-def binder_point_estimate(samples, counts: np.ndarray,
-                          compact=None) -> BinderResult:
+def binder_point_estimate(samples, counts: np.ndarray) -> BinderResult:
     """The sampled partition minimizing Binder loss against the empirical
     co-clustering probabilities of the counts C from
     :func:`accumulate_coclustering` (Dahl 2006), whose diagonal gives the
     number of samples they sum; ties break toward the earliest sample.
 
     Every sample is a candidate. F_s comes from one-hot products:
-    sum_i (C Z_s)[i, s_i], over chunks of samples. ``compact`` is
-    ``_compact(samples)`` when the caller has it already.
+    sum_i (C Z_s)[i, s_i], over chunks of samples.
     """
     samples = list(samples)
     n = counts.shape[0]
     s_total = int(counts[0, 0])
     if s_total == 0:
         raise ValueError("no samples accumulated")
-    labels, blocks, a = _compact(samples) if compact is None else compact
-    if labels.shape[1] != n:
-        raise ValueError(f"sampled partitions do not all have n={n} items")
+    labels, blocks, a = _compact(samples, n)
     rows = np.arange(n)
     f = np.empty(len(samples))
     for chunk, z, cols in _one_hot_chunks(labels, blocks):

@@ -29,11 +29,9 @@ The categorical rule of ``randkit`` draws nothing; the allocation passes
 hand it their uniforms. The slice, marginal slice and collapsed urn passes
 draw no random number while they allocate: each takes its n uniforms, one
 per observation in order, from one ``rng.random(n)`` call before the loop,
-the numbers n scalar calls would give. An observation of a slice pass whose
-one candidate is the heaviest component takes it without scoring, and its
-uniform goes unused. The urn sweep with atoms keeps one draw per
-observation, because an observation that opens a cluster draws the new
-atom before the next observation picks.
+the numbers n scalar calls would give. The urn sweep with atoms keeps one
+draw per observation, because an observation that opens a cluster draws the
+new atom before the next observation picks.
 
 One helper, ``_posterior``, holds the Normal-Normal conjugate update behind
 every posterior atom draw and predictive density. The two collapsed passes
@@ -164,29 +162,12 @@ def sample_slices(rng: RngStream, partition: Partition, allocated):
         raise InconsistentStateError("slice interval requires positive weights")
     u = rng.random(wi.shape)
     u *= wi
-    umin = _row_min(u)
+    umin = u.min(-1)
     while (umin <= 0.0).any():
         zero = u <= 0.0
         u[zero] = wi[zero] * rng.random(int(zero.sum()))
-        umin = _row_min(u)
+        umin = u.min(-1)
     return u, float(umin) if u.ndim == 1 else umin
-
-
-# the longest row whose minimum _row_min takes column by column: numpy's
-# reduction along a short last axis costs about 15 times the running
-# minimum at 6 entries a row, and breaks even near 48
-SHORT_ROW = 32
-
-
-def _row_min(u: np.ndarray):
-    """``u.min(-1)``, exactly (a minimum does not round), taken as a
-    running minimum over the columns when the rows are short."""
-    if u.ndim == 1 or u.shape[-1] > SHORT_ROW:
-        return u.min(-1)
-    m = u[:, 0].copy()
-    for j in range(1, u.shape[1]):
-        np.minimum(m, u[:, j], out=m)
-    return m
 
 
 def extend_components(rng: RngStream, residual, umin, alpha: float,
@@ -328,19 +309,14 @@ def slice_allocation_update(rng: RngStream, data, all_weights, atoms, slices,
     whose weight strictly exceeds its slice, with Normal likelihood weights.
 
     The n uniforms come from one ``rng.random(n)`` call, one per observation
-    in order. An observation whose only candidate is the heaviest component
-    takes it without scoring, and still uses up its uniform."""
+    in order."""
     order, pos_l = _slice_candidates(all_weights, slices)
-    last = order.size - 1
     order_l = (order + 1).tolist()
     atoms_sorted = np.asarray(atoms, dtype=float)[order].tolist()
     neg_inv2s = -0.5 / cfg.sigma2
     y_l = np.asarray(data, dtype=float).tolist()
     out = []
     for yi, p, u in zip(y_l, pos_l, rng.random(len(y_l)).tolist()):
-        if p == last:
-            out.append(order_l[last])
-            continue
         logw = [neg_inv2s * (yi - a) * (yi - a) for a in atoms_sorted[p:]]
         out.append(order_l[p + categorical_index(logw, u)])
     return np.array(out, dtype=LABEL_DTYPE)
@@ -376,7 +352,6 @@ def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
     for m, t in zip(counts, sums):
         mean, var = _posterior(m, t, prior, s2)
         pred.append((mean, var, LOG_2PI + math.log(var)))
-    last = k_total - 1
     for i, (yi, p, u) in enumerate(zip(y_l, pos_l,
                                        rng.random(len(y_l)).tolist())):
         j = at[i]
@@ -384,12 +359,9 @@ def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
         sums[j] -= yi
         mean, var = _posterior(counts[j], sums[j], prior, s2)
         pred[j] = (mean, var, LOG_2PI + math.log(var))
-        if p == last:
-            j = last
-        else:
-            logw = [-0.5 * (norm + (yi - mean) * (yi - mean) / var)
-                    for mean, var, norm in pred[p:]]
-            j = p + categorical_index(logw, u)
+        logw = [-0.5 * (norm + (yi - mean) * (yi - mean) / var)
+                for mean, var, norm in pred[p:]]
+        j = p + categorical_index(logw, u)
         at[i] = j
         counts[j] += 1
         sums[j] += yi
