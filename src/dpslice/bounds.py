@@ -139,12 +139,19 @@ def resolve_partition_sizes(spec, n: int) -> np.ndarray:
             sizes[:extra] += 1
             return sizes
         raise ValueError(f"unknown partition spec {spec!r}")
-    if not (isinstance(spec, (list, tuple, np.ndarray))
-            and all(is_integer(s) and s >= 1 for s in spec)):
-        raise ValueError(f"sizes must be a list of integers >= 1, got {spec!r}")
-    if sum(spec) != n:
-        raise ValueError(f"sizes sum to {sum(spec)}, expected {n}")
-    return np.asarray(spec, dtype=LABEL_DTYPE)
+    sizes = _block_sizes(spec)
+    if sizes.sum() != n:
+        raise ValueError(f"sizes sum to {sizes.sum()}, expected {n}")
+    return sizes
+
+
+def _block_sizes(sizes) -> np.ndarray:
+    """``sizes`` as a vector if it is a list of integers >= 1, which are
+    never rounded, else a ValueError."""
+    if not (isinstance(sizes, (list, tuple, np.ndarray))
+            and all(is_integer(s) and s >= 1 for s in sizes)):
+        raise ValueError(f"sizes must be a list of integers >= 1, got {sizes!r}")
+    return np.asarray(sizes, dtype=LABEL_DTYPE)
 
 
 def _partition_from_sizes(sizes: np.ndarray) -> Partition:
@@ -287,9 +294,9 @@ def simulate_umin(rng: RngStream, sizes, alpha: float, replicates: int) -> np.nd
     replicates."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    sizes = np.asarray(sizes, dtype=LABEL_DTYPE)
-    if sizes.ndim != 1 or sizes.size == 0 or np.any(sizes < 1):
-        raise ValueError("sizes must be a nonempty vector of positives")
+    sizes = _block_sizes(sizes)
+    if sizes.size == 0:
+        raise ValueError("sizes must name at least one block")
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     umin = np.empty(replicates)
@@ -323,7 +330,7 @@ def check_merge_monotonicity(rng: RngStream, sizes, x_grid, replicates: int,
     placed last, does not increase P(u_min <= x) at any grid x, within three
     pooled binomial standard errors. Valid for replicate counts of 10^5 and
     up."""
-    sizes = np.asarray(sizes, dtype=LABEL_DTYPE)
+    sizes = _block_sizes(sizes)
     if sizes.size < 2:
         raise ValueError(f"a merge needs two blocks, got sizes {sizes.tolist()}")
     merged = np.append(sizes[2:], sizes[0] + sizes[1])

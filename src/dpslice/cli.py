@@ -4,6 +4,8 @@ Each command is a pure function of (config, seed): rerunning reproduces
 every output byte-for-byte except wall-clock-derived fields (elapsed_ns in
 traces, the timing block of summaries, timing columns of benchmark CSVs).
 Configuration is one JSON document; command-line flags override the file.
+Each command reads it through one settings table, which gives every key a
+default and a rule; a key the table lacks is a config error.
 
 RNG stream allocation, fixed so outputs never depend on thread count or
 execution order: stream 0 generates the primary dataset, stream 1 seeds
@@ -35,6 +37,7 @@ from .bounds import (
     simulate_overhead,
 )
 from .core import (
+    MODEL_RULES,
     POSITIVE,
     ModelConfig,
     TraceRecord,
@@ -46,7 +49,6 @@ from .core import (
 )
 from .datagen import (
     MIN_N,
-    Dataset,
     check_dataset,
     kmeans_init,
     load_dataset,
@@ -98,84 +100,90 @@ EXACT_KINDS = tuple(k.value for k in SamplerKind
 # config plumbing
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"config file {p} does not exist")
-    conf = json.loads(p.read_text())
-    if not isinstance(conf, dict):
-        raise ValueError("config must be a JSON object")
-    return conf
+REQUIRED = object()  # the default of a key that must be set
+# a key checked where it is used, together with the keys it depends on
+LATER = (lambda value: True, "")
+STRING = (lambda value: isinstance(value, str), "a string")
+OBJECT = (lambda value: isinstance(value, dict), "a JSON object")
+BUDGET = (lambda value: is_number(value) and value >= 0.0, "a number >= 0")
 
 
-def _merge_args(conf: dict, args: argparse.Namespace) -> dict:
-    conf = dict(conf)
-    if args.seed is not None:
-        conf["seed"] = args.seed
-    conf.setdefault("seed", DEFAULT_SEED)
-    RngStream(conf["seed"])  # RngStream's seed rule, checked before any output
-    if args.out is not None:
-        conf["out"] = args.out
-    conf.setdefault("out", "out")
-    if args.threads is not None:
-        conf["threads"] = args.threads
-    _integer(conf.setdefault("threads", 1), "threads", 1)
+def _settings(conf: dict, table: dict, where: str = "") -> dict:
+    """Every key of the settings table ``table``, as ``conf`` sets it or
+    else at its default, checked by its rule; a key of ``conf`` that
+    ``table`` lacks is a config error. ``where`` prefixes each key an error
+    names. The table maps a key to its default and its rule: a rule pair for
+    ``core.check``, a function (value, name) that returns the value or
+    raises a config error naming it, or a table, the rule of a JSON object.
+    As in ``ModelConfig``, a key whose default is None also accepts null."""
+    for key in conf:
+        if key not in table:
+            raise ValueError(f"{where}{key} is not a setting; the settings "
+                             f"are {', '.join(table)}")
+    settings = {}
+    for key, (default, rule) in table.items():
+        name = where + key
+        if key not in conf and default is REQUIRED:
+            raise ValueError(f"{name} must be set")
+        value = conf.get(key, default)
+        if isinstance(rule, dict):
+            value = _settings(check(value, name, OBJECT), rule, f"{name}.")
+        elif not (value is None and default is None):
+            value = (check(value, name, rule) if isinstance(rule, tuple)
+                     else rule(value, name))
+        settings[key] = value
+    return settings
+
+
+def _config(args: argparse.Namespace, table: dict) -> dict:
+    """The settings ``table`` and COMMON read from the config file and the
+    flags, which override the file; ``--preset`` sets the sweep counts that
+    ``table`` has."""
+    conf = (check(json.loads(Path(args.config).read_text()), "config", OBJECT)
+            if args.config is not None else {})
+    conf.update((key, getattr(args, key)) for key in ("seed", "out", "threads")
+                if getattr(args, key) is not None)
     if args.preset is not None:
-        conf.update(PRESETS[args.preset])
-    conf.setdefault("iters", PRESETS["paper"]["iters"])
-    conf.setdefault("burnin", PRESETS["paper"]["burnin"])
-    return conf
+        conf.update((key, value) for key, value in PRESETS[args.preset].items()
+                    if key in table)
+    settings = _settings(conf, {**COMMON, **table})
+    RngStream(settings["seed"])  # RngStream's seed rule, checked before any output
+    return settings
 
 
-# Config checks, each naming its key; ``core`` decides what a number is.
+def _integer(low: int, why: str = ""):
+    """The rule: an integer >= low."""
+    def rule(value, key: str) -> int:
+        check(value, key, (is_integer, "an integer"))
+        return check(value, key, (lambda v: v >= low, f">= {low}{why}"))
+    return rule
 
 
-def _integer(value, key: str, low: int, why: str = "") -> int:
-    """``value`` if it is an integer >= low, else a config error naming
-    ``key``."""
-    if not is_integer(value):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{key} must be >= {low}{why}, got {value}")
-    return value
+def _list_of(ok, what: str, nonempty: bool = True) -> tuple:
+    """The rule pair: a list, nonempty unless ``nonempty`` is False, whose
+    every entry ``ok`` accepts."""
+    return (lambda values: (isinstance(values, list) and (bool(values) or not nonempty)
+                            and all(map(ok, values))),
+            f"a {'nonempty ' if nonempty else ''}list of {what}")
 
 
-def _required(conf: dict, key: str, where: str):
-    """``conf[key]``, else a config error naming ``where`` and ``key``."""
-    if key not in conf:
-        raise ValueError(f"{where}{key} must be set")
-    return conf[key]
+# the settings of every command; the flags of the same names override them
+COMMON = {"seed": (DEFAULT_SEED, LATER), "out": ("out", STRING),
+          "threads": (1, _integer(1))}
+# the config keys that set the model, with ModelConfig's defaults and rules
+MODEL = {key: (getattr(ModelConfig, key), MODEL_RULES[key])
+         for key in ("sigma2", "base_mean", "base_var", "alpha_fixed")}
+# the settings of a chain, which a benchmark grid cell inherits from the top
+# level; the default sweep count is the paper preset's
+CHAIN = {"iters": (PRESETS["paper"]["iters"],
+                   _integer(MIN_TRACE_LENGTH, " for the effective sample size")),
+         "time_budget_s": (1.0, BUDGET), **MODEL}
+OBJECTS = _list_of(OBJECT[0], "JSON objects", nonempty=False)  # each with a table
 
 
-def _list_of(values, key: str, ok, what: str, nonempty: bool = True) -> list:
-    """``values`` if it is a list (nonempty unless ``nonempty`` is False)
-    whose every entry ``ok`` accepts, else a config error naming ``key``."""
-    if (not isinstance(values, list) or (nonempty and not values)
-            or not all(ok(v) for v in values)):
-        raise ValueError(f"{key} must be a {'nonempty ' if nonempty else ''}"
-                         f"list of {what}; got {values!r}")
-    return values
-
-
-def _object(value, key: str) -> dict:
-    """``value`` if it is a JSON object, else a config error naming ``key``."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be a JSON object, got {value!r}")
-    return value
-
-
-# the config keys that set the model; a benchmark grid cell may override them
-MODEL_KEYS = ("sigma2", "base_mean", "base_var", "alpha_fixed")
-
-
-def _model_config(conf: dict, where: str = "") -> ModelConfig:
-    """The model the keys of ``conf`` set, its errors prefixed with ``where``."""
-    try:
-        return ModelConfig(**{key: conf[key] for key in MODEL_KEYS if key in conf})
-    except ValueError as exc:
-        raise ValueError(f"{where}{exc}") from None
+def _model_config(conf: dict) -> ModelConfig:
+    """The model the keys of ``conf`` set."""
+    return ModelConfig(**{key: conf[key] for key in MODEL if key in conf})
 
 
 def _outdir(conf: dict) -> Path:
@@ -188,38 +196,27 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _drawn_dataset(spec: dict, key: str, rng: RngStream) -> Dataset:
-    """``make_dataset``'s draw for the config object ``spec`` at ``key``."""
-    kind, n = (_required(spec, name, f"{key}.") for name in ("kind", "n"))
-    return make_dataset(kind, rng, _integer(n, f"{key}.n", 1),
-                        **_object(spec.get("params", {}), f"{key}.params"))
-
-
-def _dataset_from_conf(conf: dict, seed: int, stream: int) -> Dataset:
-    dconf = _object(conf.get("dataset", {}), "dataset")
-    if "path" in dconf:
-        return load_dataset(dconf["path"])
-    return _drawn_dataset({"kind": "three-cluster", "n": 600, **dconf},
-                          "dataset", RngStream(seed=seed, stream=stream))
-
-
 # ---------------------------------------------------------------------------
 # generate
 
 
+# an entry of `datasets`, written to <name>.csv (by default <kind>_n<n>.csv)
+DATASETS_ENTRY = {"kind": (REQUIRED, LATER), "n": (REQUIRED, _integer(1)),
+                  "params": ({}, OBJECT), "name": (None, STRING)}
+GENERATE = {"datasets": ([{"kind": "three-cluster", "n": 150},
+                          {"kind": "zipf", "n": 300}], OBJECTS)}
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
-    conf = _merge_args(load_config(args.config), args)
-    specs = _list_of(conf.get("datasets", [{"kind": "three-cluster", "n": 150},
-                                           {"kind": "zipf", "n": 300}]),
-                     "datasets", lambda spec: isinstance(spec, dict),
-                     "JSON objects", nonempty=False)
-    seed = conf["seed"]
-    made = [(spec, _drawn_dataset(spec, f"datasets[{idx}]",
-                                  RngStream(seed=seed, stream=idx)))
+    conf = _config(args, GENERATE)
+    specs = [_settings(spec, DATASETS_ENTRY, f"datasets[{idx}].")
+             for idx, spec in enumerate(conf["datasets"])]
+    made = [(spec, make_dataset(spec["kind"], RngStream(seed=conf["seed"], stream=idx),
+                                spec["n"], **spec["params"]))
             for idx, spec in enumerate(specs)]
     out = _outdir(conf)
     for spec, ds in made:
-        name = spec.get("name", f"{spec['kind']}_n{ds.n}")
+        name = f"{spec['kind']}_n{ds.n}" if spec["name"] is None else spec["name"]
         path = out / f"{name}.csv"
         save_dataset(ds, path)
         print(f"wrote {path} ({ds.n} rows, {int(np.unique(ds.labels).size)} true clusters)")
@@ -258,19 +255,6 @@ def _coclustering_to_csv(path: Path, counts: np.ndarray, samples: int) -> None:
     with open(path, "w", newline="") as fh:
         for row in counts.astype(np.intp):
             fh.write(",".join(map(table.__getitem__, row.tolist())) + "\n")
-
-
-def _check_sweeps(conf: dict, where: str = "") -> float:
-    """Fail before any chain runs unless ``iters`` and ``burnin`` are
-    integers, burnin >= 0 and iters >= MIN_TRACE_LENGTH, the shortest trace
-    for the effective sample size that ``run`` and ``benchmark`` report, and
-    ``time_budget_s`` (default 1 second) is a number >= 0. Returns the
-    time budget."""
-    _integer(conf["iters"], f"{where}iters", MIN_TRACE_LENGTH,
-             " for the effective sample size")
-    _integer(conf["burnin"], f"{where}burnin", 0)
-    return check(conf.get("time_budget_s", 1.0), f"{where}time_budget_s",
-                 (lambda t: is_number(t) and t >= 0.0, "a number >= 0"))
 
 
 def _ess_block(records) -> dict:
@@ -319,26 +303,41 @@ def _chain_start(y, kind: SamplerKind, L, rng: RngStream):
     return L, init.labels
 
 
+def _dataset(value, key: str) -> dict:
+    """The rule of ``dataset``: a CSV file ``generate`` wrote, or a draw."""
+    value = check(value, key, OBJECT)
+    table = {"path": (REQUIRED, STRING)} if "path" in value else DATASET
+    return _settings(value, table, f"{key}.")
+
+
+def _sampler(value, key: str) -> dict:
+    """The rule of ``sampler``; a kind string is short for {"kind": value}."""
+    value = check({"kind": value} if isinstance(value, str) else value, key, OBJECT)
+    return _settings(value, SAMPLER, f"{key}.")
+
+
+DATASET = {"kind": ("three-cluster", LATER), "n": (600, _integer(1)),
+           "params": ({}, OBJECT)}
+# make_sweep checks the sampler kind and the truncation level together
+SAMPLER = {"kind": ("slice", LATER), "L": (None, LATER)}
+RUN = {**CHAIN, "burnin": (PRESETS["paper"]["burnin"], _integer(0)),
+       "dataset": ({}, _dataset), "sampler": ({}, _sampler)}
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    conf = _merge_args(load_config(args.config), args)
-    budget = _check_sweeps(conf)
-    mcfg = _model_config(conf)
-    seed = conf["seed"]
-    ds = _dataset_from_conf(conf, seed, stream=0)
-    sconf = conf.get("sampler", {})
-    if isinstance(sconf, str):
-        sconf = {"kind": sconf}
-    if not isinstance(sconf, dict):
-        raise ValueError("sampler must be a kind string or an object "
-                         "with 'kind' and optional 'L'")
-    kind = SamplerKind(sconf.get("kind", "slice"))
-    L, init = _chain_start(ds.y, kind, sconf.get("L"),
+    conf = _config(args, RUN)
+    seed, dconf, sconf = conf["seed"], conf["dataset"], conf["sampler"]
+    ds = (load_dataset(dconf["path"]) if "path" in dconf
+          else make_dataset(dconf["kind"], RngStream(seed=seed, stream=0),
+                            dconf["n"], **dconf["params"]))
+    kind = SamplerKind(sconf["kind"])
+    L, init = _chain_start(ds.y, kind, sconf["L"],
                            RngStream(seed=seed, stream=1))
     out = _outdir(conf)
-    result = run_chain(ds.y, mcfg, RngStream(seed=seed, stream=2), kind,
-                       iters=conf["iters"], burnin=conf["burnin"],
-                       init_labels=init, L=L,
-                       time_budget_s=budget)
+    budget = conf["time_budget_s"]
+    result = run_chain(ds.y, _model_config(conf), RngStream(seed=seed, stream=2),
+                       kind, iters=conf["iters"], burnin=conf["burnin"],
+                       init_labels=init, L=L, time_budget_s=budget)
     _trace_to_csv(out / "trace.csv", result.records)
 
     summary = {
@@ -447,40 +446,35 @@ def _benchmark_cell(cell: dict) -> dict:
     return row
 
 
-DEFAULT_BENCHMARK_GRID = (
-    [{"sampler": "slice", "n": n} for n in (150, 300, 600, 1500, 3000)]
-    + [{"sampler": "bgs", "L": "n", "n": n} for n in (150, 300, 600)]
-    + [{"sampler": "crp-atoms", "n": 3000}]
-)
+# a grid cell; the benchmark object and the top level set the defaults of
+# the keys after L
+BENCHMARK_CELL = {"sampler": (REQUIRED, LATER), "n": (REQUIRED, _integer(1)),
+                  "L": (None, LATER), "dataset_kind": ("three-cluster", LATER),
+                  "dataset_params": ({}, OBJECT), "burnin": (0, _integer(0)), **CHAIN}
+# cell defaults, checked in each cell; null leaves a cell the top-level value
+# or else its own default
+BENCHMARK = {
+    "grid": ([{"sampler": "slice", "n": n} for n in (150, 300, 600, 1500, 3000)]
+             + [{"sampler": "bgs", "L": "n", "n": n} for n in (150, 300, 600)]
+             + [{"sampler": "crp-atoms", "n": 3000}], OBJECTS),
+    **dict.fromkeys(("dataset_kind", "dataset_params", "iters", "burnin",
+                     "time_budget_s"), (None, LATER))}
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    conf = _merge_args(load_config(args.config), args)
-    bench = _object(conf.get("benchmark", {}), "benchmark")
-    grid = _list_of(bench.get("grid", [dict(c) for c in DEFAULT_BENCHMARK_GRID]),
-                    "benchmark.grid", lambda g: isinstance(g, dict),
-                    "JSON objects", nonempty=False)
+    conf = _config(args, {**CHAIN, "benchmark": ({}, BENCHMARK)})
+    bench = conf["benchmark"]
+    inherited = {key: conf[key] for key in CHAIN}
+    inherited.update((key, value) for key, value in bench.items()
+                     if key != "grid" and value is not None)
     cells = []
-    for idx, g in enumerate(grid):
-        cell = {key: conf[key] for key in MODEL_KEYS if key in conf}
-        cell.update(g)
-        cell.setdefault("dataset_kind", bench.get("dataset_kind", "three-cluster"))
-        cell.setdefault("dataset_params", bench.get("dataset_params", {}))
-        cell.setdefault("iters", bench.get("iters", conf["iters"]))
-        cell.setdefault("burnin", bench.get("burnin", 0))
-        cell.setdefault("time_budget_s", bench.get("time_budget_s",
-                                                   conf.get("time_budget_s", 1.0)))
-        cell["seed"] = conf["seed"]
-        cell["index"] = idx
-        where = f"benchmark cell {idx} "
-        _check_sweeps(cell, where)
-        _model_config(cell, where)
-        n = _integer(_required(cell, "n", where), f"{where}n", 1)
-        make_sweep(_required(cell, "sampler", where),
-                   n if cell.get("L") == "n" else cell.get("L"))
-        check_dataset(cell["dataset_kind"], n,
-                      _object(cell["dataset_params"], f"{where}dataset_params"))
-        cells.append(cell)
+    for idx, g in enumerate(bench["grid"]):
+        cell = _settings({**inherited, **g}, BENCHMARK_CELL,
+                         f"benchmark cell {idx} ")
+        n = cell["n"]
+        make_sweep(cell["sampler"], n if cell["L"] == "n" else cell["L"])
+        check_dataset(cell["dataset_kind"], n, cell["dataset_params"])
+        cells.append({**cell, "seed": conf["seed"], "index": idx})
     out = _outdir(conf)
     rows = _map_cells(_benchmark_cell, cells, conf["threads"])
     path = out / "benchmark.csv"
@@ -521,44 +515,39 @@ def _verify_cell(cell: dict) -> dict:
     return out
 
 
+VERIFY = {
+    "checks": (list(VERIFY_CHECKS), _list_of(VERIFY_CHECKS.__contains__,
+                                             f"names from {list(VERIFY_CHECKS)}")),
+    "alphas": ([0.5, 1.0, 5.0], _list_of(POSITIVE[0], "positive finite numbers")),
+    "ns": ([100, 1_000, 10_000], _list_of(is_integer, "integers")),
+    "deltas": ([0.1, 0.01], _list_of(lambda d: is_number(d) and 0 < d < 1, "numbers in (0, 1)")),
+    "tails_at": ([[1_000, 1.0]], _list_of(
+        lambda p: isinstance(p, list) and len(p) == 2 and is_integer(p[0])
+        and POSITIVE[0](p[1]), "[integer n, positive alpha] pairs", nonempty=False)),
+    # a partition spec of every n that the overhead or tails check simulates
+    "spec": ("singleton", LATER),
+    "replicates": (100_000, _integer(1)),
+    "merge": ({}, {"n": (6, _integer(2, ", since the merge chain starts "
+                                        "from n singletons")),
+                   "replicates": (1_000_000, _integer(1))}),
+    "poisson": ({}, {"replicates": (100_000, _integer(2))}),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    conf = _merge_args(load_config(args.config), args)
-    vconf = _object(conf.get("verify", {}), "verify")
-    checks = _list_of(vconf.get("checks", list(VERIFY_CHECKS)), "verify.checks",
-                      VERIFY_CHECKS.__contains__,
-                      f"names from {list(VERIFY_CHECKS)}")
-    alphas = _list_of(vconf.get("alphas", [0.5, 1.0, 5.0]), "verify.alphas",
-                      POSITIVE[0], "positive finite numbers")
-    ns = _list_of(vconf.get("ns", [100, 1_000, 10_000]), "verify.ns",
-                  is_integer, "integers")
+    conf = _config(args, {"verify": ({}, VERIFY)})
+    vconf = conf["verify"]
+    checks, ns, spec, tails_at, replicates = (
+        vconf[key] for key in ("checks", "ns", "spec", "tails_at", "replicates"))
     if any(n < 2 for n in ns):
         raise ValueError(f"verify.ns must all be >= 2, since the bounds scale "
                          f"with log n; got {ns}")
-    deltas = _list_of(vconf.get("deltas", [0.1, 0.01]), "verify.deltas",
-                      lambda d: is_number(d) and 0.0 < d < 1.0,
-                      "numbers in (0, 1)")
-    tails_at = _list_of(vconf.get("tails_at", [[1_000, 1.0]]), "verify.tails_at",
-                        lambda p: isinstance(p, list) and len(p) == 2,
-                        "[n, alpha] pairs", nonempty=False)
-    spec = vconf.get("spec", "singleton")
-    replicates = _integer(vconf.get("replicates", 100_000),
-                          "verify.replicates", 1)
-    mconf = _object(vconf.get("merge", {}), "verify.merge")
-    pconf = _object(vconf.get("poisson", {}), "verify.poisson")
-    if "merge" in checks:
-        n_merge = _integer(mconf.get("n", 6), "verify.merge.n", 2,
-                           ", since the merge chain starts from n singletons")
-        m_merge = _integer(mconf.get("replicates", 1_000_000),
-                           "verify.merge.replicates", 1)
-    if "poisson" in checks:
-        m_poisson = _integer(pconf.get("replicates", 100_000),
-                             "verify.poisson.replicates", 2)
     seed = conf["seed"]
 
     cells = []
-    for idx, (alpha, n) in enumerate(itertools.product(alphas, ns)):
+    for idx, (alpha, n) in enumerate(itertools.product(vconf["alphas"], ns)):
         cell = {"seed": seed, "index": idx, "n": n, "alpha": alpha,
-                "spec": spec, "replicates": replicates, "deltas": deltas,
+                "spec": spec, "replicates": replicates, "deltas": vconf["deltas"],
                 "overhead": "overhead" in checks,
                 "tails": "tails" in checks
                          and any(n == ta[0] and alpha == ta[1] for ta in tails_at)}
@@ -589,14 +578,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             all_pass = all_pass and res["tails"]["passed"]
 
     if "merge" in checks:
-        chain = check_merge_chain(RngStream(seed=seed, stream=50_000), n_merge,
-                                  MERGE_X_GRID, m_merge, alpha=MERGE_ALPHA)
+        chain = check_merge_chain(RngStream(seed=seed, stream=50_000),
+                                  vconf["merge"]["n"], MERGE_X_GRID,
+                                  vconf["merge"]["replicates"], alpha=MERGE_ALPHA)
         report["merge_chain"] = [rep.to_dict() for rep in chain]
         all_pass = all_pass and all(rep.passed for rep in chain)
 
     if "poisson" in checks:
         rng = RngStream(seed=seed, stream=60_000)
-        rep = check_poisson_stick_law(rng, POISSON_X, POISSON_ALPHA, m_poisson)
+        rep = check_poisson_stick_law(rng, POISSON_X, POISSON_ALPHA,
+                                      vconf["poisson"]["replicates"])
         report["poisson"] = rep.to_dict()
         all_pass = all_pass and rep.passed
 
@@ -617,23 +608,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # oracle comparison
 
 
+ORACLE = {
+    "n": (6, _integer(MIN_N["three-cluster"], ", since the data set has three clusters")),
+    "alpha": (1.0, POSITIVE),
+    "sweeps": (50_000, _integer(1)),
+    "burnin": (1_000, _integer(0)),
+    "tv_limit": (0.1, POSITIVE),
+    "samplers": (list(EXACT_KINDS), _list_of(
+        EXACT_KINDS.__contains__, f"exact sampler kinds from {list(EXACT_KINDS)}")),
+    # null: [2, n]; make_sweep checks each level
+    "bgs_L": (None, _list_of(lambda L: True, "truncation levels", nonempty=False)),
+}
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
-    conf = _merge_args(load_config(args.config), args)
-    oconf = _object(conf.get("oracle", {}), "oracle")
-    n = _integer(oconf.get("n", 6), "oracle.n", MIN_N["three-cluster"],
-                 ", since the data set has three clusters")
+    # oracle.alpha is the model's fixed concentration: no alpha_fixed setting
+    conf = _config(args, {**{key: MODEL[key] for key in MODEL if key != "alpha_fixed"},
+                          "oracle": ({}, ORACLE)})
+    oconf = conf["oracle"]
+    n, sweeps, burnin = oconf["n"], oconf["sweeps"], oconf["burnin"]
     if n > MAX_ENUM_N:
         raise ValueError(f"oracle.n must be <= {MAX_ENUM_N}, the largest n "
                          f"whose posterior is enumerated; got {n}")
-    alpha = float(check(oconf.get("alpha", 1.0), "oracle.alpha", POSITIVE))
-    sweeps = _integer(oconf.get("sweeps", 50_000), "oracle.sweeps", 1)
-    burnin = _integer(oconf.get("burnin", 1_000), "oracle.burnin", 0)
-    tv_limit = float(check(oconf.get("tv_limit", 0.1), "oracle.tv_limit", POSITIVE))
-    samplers = _list_of(oconf.get("samplers", list(EXACT_KINDS)),
-                        "oracle.samplers", EXACT_KINDS.__contains__,
-                        f"exact sampler kinds from {list(EXACT_KINDS)}")
-    bgs_levels = _list_of(oconf.get("bgs_L", [2, n]), "oracle.bgs_L",
-                          lambda L: True, "truncation levels", nonempty=False)
+    alpha, tv_limit = float(oconf["alpha"]), float(oconf["tv_limit"])
+    bgs_levels = [2, n] if oconf["bgs_L"] is None else oconf["bgs_L"]
     for L in bgs_levels:
         try:
             make_sweep(SamplerKind.BLOCKED_GIBBS, L)
@@ -660,7 +658,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     rows = []
     all_pass = True
-    for i, name in enumerate(samplers):
+    for i, name in enumerate(oconf["samplers"]):
         emp = empirical(SamplerKind(name), stream=100 + i)
         tv = tv_distance(emp, exact)
         ok = tv < tv_limit
@@ -704,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None,
                         help="worker processes for grid commands")
     common.add_argument("--preset", choices=sorted(PRESETS), default=None,
-                        help="iteration preset: paper=10000+5000, desk=1000+1000")
+                        help="sweep preset, iters+burnin: paper=10000+5000, "
+                             "desk=1000+1000 (benchmark takes iters only)")
     p = argparse.ArgumentParser(
         prog="dpslice",
         description="Dirichlet process mixture samplers: experiments harness")

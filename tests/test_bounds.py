@@ -300,6 +300,10 @@ class TestSimulateUmin:
             simulate_umin(rng, [1, 0], 1.0, 10)
         with pytest.raises(ValueError):
             simulate_umin(rng, [1, 1], 1.0, 0)
+        # never truncated: the size rule of resolve_partition_sizes
+        for sizes in ([2.7, 3.9], [True, 4], np.array([2.0, 3.0])):
+            with pytest.raises(ValueError, match="sizes must be a list of integers"):
+                simulate_umin(rng, sizes, 1.0, 10)
 
 
 class TestMergeMonotonicity:
@@ -336,6 +340,12 @@ class TestMergeMonotonicity:
     def test_one_block_has_no_merge(self):
         with pytest.raises(ValueError, match="a merge needs two blocks"):
             check_merge_monotonicity(RngStream(seed=1, stream=0), [2],
+                                     x_grid=(0.01,), replicates=10)
+
+    @pytest.mark.parametrize("sizes", [[2.7, 3.9, 1.2], [True, 4]])
+    def test_sizes_are_never_rounded(self, sizes):
+        with pytest.raises(ValueError, match="sizes must be a list of integers"):
+            check_merge_monotonicity(RngStream(seed=1, stream=0), sizes,
                                      x_grid=(0.01,), replicates=10)
 
 

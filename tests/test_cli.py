@@ -2,8 +2,10 @@
 under reruns, and thread-count independence, all on reduced iteration
 budgets."""
 import csv
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import dpslice
+import dpslice.cli as cli
 from dpslice.cli import (
     BENCHMARK_COLUMNS,
     DEFAULT_SEED,
@@ -20,6 +23,9 @@ from dpslice.cli import (
     _coclustering_to_csv,
     main,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write_config(tmp_path, conf, name="conf.json"):
@@ -46,6 +52,14 @@ def _run_config(tmp_path, out_name, *, n=40, iters=60, burnin=20, sampler=None,
         conf["sampler"] = sampler
     conf.update(extra)
     return conf
+
+
+class Sentinel(Exception):
+    """Raised in place of a command's first chain, enumeration or simulation."""
+
+
+def _sentinel(*args, **kwargs):
+    raise Sentinel
 
 
 class TestGenerate:
@@ -391,6 +405,22 @@ class TestBenchmark:
                    for row in r2]
         assert stable == stable2
 
+    def test_desk_preset_sets_benchmark_iters_only(self, tmp_path, monkeypatch):
+        # cells take their burn-in from benchmark.burnin, default 0
+        seen = []
+
+        def capture(*args, **kwargs):
+            seen.append((kwargs["iters"], kwargs["burnin"]))
+            raise Sentinel
+
+        monkeypatch.setattr(cli, "run_chain", capture)
+        cfg = _write_config(tmp_path, {"benchmark": {"grid": [
+            {"sampler": "slice", "n": 20}]}})
+        with pytest.raises(Sentinel):
+            main(["benchmark", "--config", cfg, "--preset", "desk",
+                  "--out", str(tmp_path / "bench")])
+        assert seen == [(1_000, 0)]
+
 
 class TestVerify:
     def test_small_overhead_grid_passes(self, tmp_path):
@@ -505,7 +535,8 @@ class TestVerify:
         ("poisson", {"replicates": 2.5}, ["poisson"]),
         ("spec", "balanced:x", ["overhead"]), ("spec", "balanced:500", ["tails"]),
         ("spec", [25.5, 25.5], ["overhead"]), ("spec", [True, 49], ["overhead"]),
-        ("spec", 5, ["overhead"])])
+        ("spec", 5, ["overhead"]), ("tails_at", [[50, True]], ["tails"]),
+        ("tails_at", [[50.0, 1.0]], ["tails"])])
     def test_malformed_setting_is_config_error(self, tmp_path, capsys,
                                                monkeypatch, key, value, checks):
         import dpslice.cli as cli
@@ -770,6 +801,46 @@ class TestErrorHandling:
         ("generate", {"datasets": [{"n": 40}]}, "datasets[0].kind must be set"),
         ("generate", {"datasets": [{"kind": "zipf", "n": 9}, {"kind": "zipf"}]},
          "datasets[1].n must be set"),
+        # a key no table has, at the top level of each command and in each
+        # object; the typo "iter" would run the paper preset
+        ("generate", {"dataset": {"kind": "zipf", "n": 9}}, "dataset is not a setting"),
+        ("run", {"iter": 10, "burnin": 0, "dataset": {"n": 20}},
+         "iter is not a setting"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slice", "n": 20}],
+                                     "iters": 10}, "burnin": 5},
+         "burnin is not a setting"),
+        ("verify", {"verify": {"checks": ["poisson"]}, "Verify": {}},
+         "Verify is not a setting"),
+        ("oracle", {"oracle": {"n": 4}, "alpha_fixed": 2.0},
+         "alpha_fixed is not a setting"),
+        ("run", {"dataset": {"kind": "zipf", "n": 40, "size": 40}},
+         "dataset.size is not a setting"),
+        ("run", {"dataset": {"path": "data.csv", "n": 40}}, "dataset.n is not a setting"),
+        ("run", {"sampler": {"kind": "bgs", "l": 5}}, "sampler.l is not a setting"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slice", "n": 20}],
+                                     "iter": 10}}, "benchmark.iter is not a setting"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slice", "n": 20,
+                                               "seed": 3}], "iters": 10}},
+         "benchmark cell 0 seed is not a setting"),
+        ("verify", {"verify": {"check": ["overhead"]}}, "verify.check is not a setting"),
+        ("verify", {"verify": {"checks": ["merge"], "merge": {"sweeps": 3}}},
+         "verify.merge.sweeps is not a setting"),
+        ("verify", {"verify": {"checks": ["poisson"], "poisson": {"n": 3}}},
+         "verify.poisson.n is not a setting"),
+        ("oracle", {"oracle": {"n": 4, "sweep": 200}}, "oracle.sweep is not a setting"),
+        ("generate", {"datasets": [{"kind": "zipf", "n": 9, "size": 9}]},
+         "datasets[0].size is not a setting"),
+        # sweep counts where the command runs no chain of its own
+        ("verify", {"iters": 50}, "iters is not a setting"),
+        ("verify", {"burnin": 10}, "burnin is not a setting"),
+        ("oracle", {"oracle": {"n": 4}, "iters": 50}, "iters is not a setting"),
+        ("oracle", {"oracle": {"n": 4}, "burnin": 10}, "burnin is not a setting"),
+        ("generate", {"iters": 50}, "iters is not a setting"),
+        ("generate", {"burnin": 10}, "burnin is not a setting"),
+        # settings that name a file must be strings
+        ("run", {"dataset": {"path": 5}}, "dataset.path must be a string, got 5"),
+        ("generate", {"datasets": [{"kind": "zipf", "n": 9, "name": 5}]},
+         "datasets[0].name must be a string, got 5"),
     ])
     def test_malformed_setting_is_config_error(self, tmp_path, capsys, command,
                                                conf, message):
@@ -778,6 +849,16 @@ class TestErrorHandling:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "run", "benchmark", "verify",
+                                         "oracle"])
+    def test_out_that_is_not_a_string_is_config_error(self, tmp_path, capsys,
+                                                      monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_config(tmp_path, {"out": 5})
+        assert main([command, "--config", cfg]) == 2
+        assert "error: out must be a string, got 5" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["conf.json"]
 
     def test_unknown_sampler_kind(self, tmp_path):
         conf = _run_config(tmp_path, "x", sampler={"kind": "quantum"})
@@ -866,3 +947,38 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert (tmp_path / "gen" / "zipf_n300.csv").exists()
         assert "wrote" in proc.stdout
+
+
+def _shipped_configs(monkeypatch):
+    """(command, config) for the config of each benchmark workload that runs
+    a command, README's ``run`` example and each config the CI workflow's
+    console-script step expects to succeed."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    configs = [(w.command, w().conf) for w in workloads.WORKLOADS.values()
+               if issubclass(w, workloads._CliWorkload)]
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"A `run` config looks like:\s*```json\n(.*?)```", readme, re.S)
+    configs.append(("run", json.loads(example.group(1))))
+    ci = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    files = {name: json.loads(text)
+             for text, name in re.findall(r"echo '(.*)' > (\S+)\.json", ci)}
+    configs += [(command, files[name]) for command, name in
+                re.findall(r"^\s*dpslice (\w+) --config (\S+)\.json", ci, re.M)]
+    return configs
+
+
+class TestShippedConfigs:
+    def test_every_shipped_config_passes_the_config_check(self, tmp_path,
+                                                          monkeypatch):
+        # a key rejected here would fail the benchmark's runs or CI
+        for name in ("run_chain", "exact_posterior", "simulate_overhead"):
+            monkeypatch.setattr(cli, name, _sentinel)
+        configs = _shipped_configs(monkeypatch)
+        assert sorted(command for command, _ in configs) == [
+            "benchmark", "oracle", "oracle", "run", "run", "run", "verify", "verify"]
+        for idx, (command, conf) in enumerate(configs):
+            cfg = _write_config(tmp_path, conf, f"{idx}.json")
+            with pytest.raises(Sentinel):
+                main([command, "--config", cfg, "--seed", str(DEFAULT_SEED),
+                      "--out", str(tmp_path / str(idx)), "--threads", "1"])
