@@ -211,12 +211,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
     conf = _config(args, GENERATE)
     specs = [_settings(spec, DATASETS_ENTRY, f"datasets[{idx}].")
              for idx, spec in enumerate(conf["datasets"])]
-    made = [(spec, make_dataset(spec["kind"], RngStream(seed=conf["seed"], stream=idx),
+    names = {}
+    for idx, spec in enumerate(specs):
+        # an entry's own errors come before a clash between two entries
+        check_dataset(spec["kind"], spec["n"], spec["params"])
+        name = f"{spec['kind']}_n{spec['n']}" if spec["name"] is None else spec["name"]
+        if name in names:
+            raise ValueError(f"datasets[{names[name]}] and datasets[{idx}] would "
+                             f"both be written to {name}.csv")
+        names[name] = idx
+    made = [(name, make_dataset(spec["kind"], RngStream(seed=conf["seed"], stream=idx),
                                 spec["n"], **spec["params"]))
-            for idx, spec in enumerate(specs)]
+            for idx, (spec, name) in enumerate(zip(specs, names))]
     out = _outdir(conf)
-    for spec, ds in made:
-        name = f"{spec['kind']}_n{ds.n}" if spec["name"] is None else spec["name"]
+    for name, ds in made:
         path = out / f"{name}.csv"
         save_dataset(ds, path)
         print(f"wrote {path} ({ds.n} rows, {int(np.unique(ds.labels).size)} true clusters)")
@@ -651,7 +659,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                            time_budget_s=3600.0)
         freq: dict = {}
         for lab in result.snapshots:
-            key = tuple(int(v) for v in lab)
+            key = tuple(lab.tolist())
             freq[key] = freq.get(key, 0) + 1
         total = len(result.snapshots)
         return {k: v / total for k, v in freq.items()}

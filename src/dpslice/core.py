@@ -133,6 +133,10 @@ class Partition:
                 nxt += 1
 
 
+# below this many labels, relabel_compact numbers them through a dict
+RELABEL_TABLE_MIN_N = 48
+
+
 def relabel_compact(raw_labels) -> Partition:
     """Canonicalize arbitrary positive labels to order-of-appearance 1..H."""
     part, _ = relabel_compact_with_map(raw_labels)
@@ -145,31 +149,43 @@ def relabel_compact_with_map(raw_labels) -> tuple[Partition, np.ndarray]:
 
     Runs in O(n + K) for labels up to K, with no sort: a table indexed by
     label value records each value's first position, and the positions that
-    are their value's first appearance give the blocks in order. Labels
-    above 2n, which would make that table larger than the data, are
-    numbered through a dict instead.
+    are their value's first appearance give the blocks in order. Fewer than
+    RELABEL_TABLE_MIN_N labels, whose numpy calls would cost more than a
+    Python pass, and labels above 2n, which would make that table larger
+    than the data, are numbered through a dict instead.
     """
     raw = np.asarray(raw_labels, dtype=LABEL_DTYPE)
     if raw.ndim != 1 or raw.size == 0:
         raise ValueError("labels must be a nonempty 1-D vector")
+    n = raw.size
+    if n < RELABEL_TABLE_MIN_N:
+        values = raw.tolist()
+        if min(values) < 1:
+            raise ValueError("labels must be positive integers")
+        return _relabel_by_dict(values)
     if raw.min() < 1:
         raise ValueError("labels must be positive integers")
-    n = raw.size
     top = int(raw.max())
     if top > 2 * n:
-        values = raw.tolist()
-        first = dict.fromkeys(values)  # keys in order of first appearance
-        rank = dict(zip(first, range(1, len(first) + 1)))
-        labels = np.fromiter(map(rank.__getitem__, values), dtype=LABEL_DTYPE,
-                             count=n)
-        origin = np.fromiter(first, dtype=LABEL_DTYPE, count=len(first))
-    else:
-        pos = np.arange(1, n + 1, dtype=LABEL_DTYPE)
-        table = np.full(top + 1, n + 1, dtype=LABEL_DTYPE)
-        np.minimum.at(table, raw, pos)
-        origin = raw[table[raw] == pos]
-        table[origin] = pos[:origin.size]
-        labels = table[raw]
+        return _relabel_by_dict(raw.tolist())
+    pos = np.arange(1, n + 1, dtype=LABEL_DTYPE)
+    table = np.full(top + 1, n + 1, dtype=LABEL_DTYPE)
+    np.minimum.at(table, raw, pos)
+    origin = raw[table[raw] == pos]
+    table[origin] = pos[:origin.size]
+    return _partition(table[raw], origin)
+
+
+def _relabel_by_dict(values: list) -> tuple[Partition, np.ndarray]:
+    first = dict.fromkeys(values)  # keys in order of first appearance
+    rank = dict(zip(first, range(1, len(first) + 1)))
+    labels = np.fromiter(map(rank.__getitem__, values), dtype=LABEL_DTYPE,
+                         count=len(values))
+    return _partition(labels, np.fromiter(first, dtype=LABEL_DTYPE,
+                                          count=len(first)))
+
+
+def _partition(labels: np.ndarray, origin: np.ndarray) -> tuple[Partition, np.ndarray]:
     sizes = np.bincount(labels, minlength=origin.size + 1)[1:]
     return Partition(labels=labels, sizes=sizes), origin
 
@@ -222,7 +238,7 @@ def log_likelihood(data: np.ndarray, labels: np.ndarray, atoms: np.ndarray,
     if lab.size and int(lab.max()) > phi.size:
         raise InconsistentStateError(
             f"label {int(lab.max())} has no atom (only {phi.size} instantiated)")
-    resid = y - phi[lab - 1]
+    resid = y - phi.take(lab - 1)
     return float(-0.5 * (resid @ resid) / cfg.sigma2
                  - 0.5 * y.size * (LOG_2PI + math.log(cfg.sigma2)))
 

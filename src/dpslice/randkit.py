@@ -7,6 +7,13 @@ independent sequences (numpy ``SeedSequence`` spawn-key guarantees).
 Beta and Dirichlet outputs are clamped away from 0 and 1 so that downstream
 logs and slice intervals stay finite.
 
+A sweep draws a Dirichlet every time, often over a handful of entries, so
+the draw keeps its fixed cost low without changing a number: its parameter
+check is two array methods (``min``, ``max``), whose NaN result fails the
+comparison, and below DIRICHLET_ARRAY_MIN_K entries it draws the Gamma
+variates by one scalar call each, which gives what one array call gives
+without that call's per-call parameter check and broadcast.
+
 The categorical rule draws nothing: :func:`categorical_index` and
 :func:`_categorical_columns` are pure functions of the log weights and the
 uniforms they are handed. A caller that picks many times draws its uniforms
@@ -30,6 +37,10 @@ WEIGHT_CEIL = 1.0 - 1e-16
 LOG_UNDERFLOW = -745.0
 
 _MAX_SEED = 2**64
+
+# from this many entries, an unbatched Dirichlet draws its Gamma variates in
+# one array call; below it, one scalar call per entry costs less
+DIRICHLET_ARRAY_MIN_K = 8
 
 
 class NoValidCategoryError(ValueError):
@@ -117,16 +128,23 @@ def sample_dirichlet(rng: RngStream, concentration, batch: int | None = None) ->
     conc = np.asarray(concentration, dtype=float)
     if conc.ndim != 1 or conc.size < 2:
         raise ValueError("concentration must be a 1-D vector of length >= 2")
-    if not np.all(np.isfinite(conc)) or np.any(conc <= 0.0):
+    # a NaN minimum or maximum fails both comparisons
+    if not (conc.min() > 0.0 and conc.max() < math.inf):
         raise ValueError("concentration entries must be positive and finite")
     if batch is not None and batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    size = None if batch is None else (batch, conc.size)
-    g = rng.standard_gamma(conc, size=size)
+    if batch is not None:
+        g = rng.standard_gamma(conc, size=(batch, conc.size))
+    elif conc.size < DIRICHLET_ARRAY_MIN_K:
+        g = np.array([rng.standard_gamma(a) for a in conc.tolist()])
+    else:
+        g = rng.standard_gamma(conc)
+    # one draw takes a plain sum, a batch one sum per row
+    rows = {} if batch is None else {"axis": -1, "keepdims": True}
     np.maximum(g, WEIGHT_FLOOR, out=g)
-    g /= g.sum(axis=-1, keepdims=True)
+    g /= g.sum(**rows)
     clamp_weights(g)
-    g /= g.sum(axis=-1, keepdims=True)
+    g /= g.sum(**rows)
     return clamp_weights(g)
 
 
@@ -212,7 +230,8 @@ def _categorical_columns(logweights: np.ndarray, u: np.ndarray) -> np.ndarray:
     # each column's maximum adds exp(0) = 1, so every total is at least 1
     cum = np.add.accumulate(mass, axis=0, out=mass)
     r = np.multiply(u, cum[-1])
-    idx = k - np.add.reduce(cum > r, axis=0)
+    # the entries at or below r, all before the first one above it
+    idx = np.add.reduce(cum <= r, axis=0)
     if idx.max(initial=0) == k:
         for j in np.flatnonzero(idx == k).tolist():
             idx[j] = _last_with_mass(cum[:, j].tolist())

@@ -38,6 +38,16 @@ every posterior atom draw and predictive density. The two collapsed passes
 keep each component's predictive and refresh only those of the component an
 observation leaves and the one it joins.
 
+Every sweep pays the draws of its weights, atoms and slices and the relabel
+and log likelihood once, whatever n is, so these steps keep numpy's per-call
+overhead low without changing a draw: their checks are array methods or
+scalar comparisons that reject NaN as well, the atom draw scales and shifts
+``rng.standard_normal`` in place (the numbers ``rng.normal(mean, sd)``
+gives, which computes mean + sd * z), and the stick extension checks alpha
+and the base measure once per call and then draws each atom and stick from
+the generator as ``sample_normal`` and ``sample_beta`` would, with their
+clamp.
+
 The weight and slice draws also take a leading replicate axis, and the stick
 extension takes vectors of residuals and slice minima, so the
 cost-verification harness in ``bounds`` runs many replicates through the
@@ -72,6 +82,8 @@ from .core import (
 )
 from .randkit import (
     RngStream,
+    WEIGHT_CEIL,
+    WEIGHT_FLOOR,
     categorical_index,
     clamp_weights,
     sample_beta,
@@ -107,11 +119,15 @@ def sample_allocated_weights(rng: RngStream, sizes, alpha: float,
     draws m independent replicates and gets an (m, H) array and an m-vector.
     """
     s = np.asarray(sizes, dtype=float)
-    if s.ndim != 1 or s.size == 0 or np.any(s < 1):
+    # a NaN minimum fails the comparison
+    if s.ndim != 1 or s.size == 0 or not s.min() >= 1:
         raise ValueError("sizes must be positive cluster counts")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    w = sample_dirichlet(rng, np.append(s, alpha), batch)
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    conc = np.empty(s.size + 1)
+    conc[:-1] = s
+    conc[-1] = alpha
+    w = sample_dirichlet(rng, conc, batch)
     residual = w[..., -1]
     return w[..., :-1], float(residual) if batch is None else residual
 
@@ -141,12 +157,21 @@ def sample_atoms_conjugate(rng: RngStream, data, partition: Partition, cfg: Mode
     """Posterior draw of the first ``components`` locations (by default the
     occupied ones); a component with no members draws from the prior."""
     y = np.asarray(data, dtype=float)
-    k = partition.num_blocks if components is None else components
-    counts = np.zeros(k)
-    counts[:partition.num_blocks] = partition.sizes
+    if components is None:
+        k = partition.num_blocks
+        counts = partition.sizes
+    else:
+        k = components
+        counts = np.zeros(k)
+        counts[:partition.num_blocks] = partition.sizes
     sums = np.bincount(partition.labels, weights=y, minlength=k + 1)[1:]
     mean, var = _posterior(counts, sums, _conjugate_prior(cfg))
-    return rng.normal(mean, np.sqrt(var))
+    # the numbers rng.normal(mean, sd) gives (it computes mean + sd * z),
+    # without its per-call parameter checks
+    z = rng.standard_normal(k)
+    z *= np.sqrt(var)
+    z += mean
+    return z
 
 
 def sample_slices(rng: RngStream, partition: Partition, allocated):
@@ -158,7 +183,8 @@ def sample_slices(rng: RngStream, partition: Partition, allocated):
     and their minimum over observations: a float, or one per replicate.
     """
     wi = np.asarray(allocated, dtype=float).take(partition.labels - 1, axis=-1)
-    if wi.size == 0 or np.any(wi <= 0.0):
+    # a NaN minimum fails the comparison
+    if wi.size == 0 or not wi.min() > 0.0:
         raise InconsistentStateError("slice interval requires positive weights")
     u = rng.random(wi.shape)
     u *= wi
@@ -184,8 +210,8 @@ def extend_components(rng: RngStream, residual, umin, alpha: float,
     each replicate instantiated and the leftover masses. That replicate form
     draws sticks only, whatever ``with_atoms`` says.
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if isinstance(residual, np.ndarray) and residual.ndim:
         r = np.asarray(residual, dtype=float)
         u = np.asarray(umin, dtype=float)
@@ -200,6 +226,14 @@ def extend_components(rng: RngStream, residual, umin, alpha: float,
         raise ValueError(f"residual must be in (0, 1], got {residual}")
     if not 0.0 < umin < 1.0:
         raise ValueError(f"umin must be in (0, 1), got {umin}")
+    if with_atoms:
+        # sample_normal's checks, once per call; each step then draws its
+        # atom and stick as sample_normal and sample_beta do
+        base_mean, base_var = float(cfg.base_mean), float(cfg.base_var)
+        if not (math.isfinite(base_mean) and 0.0 < base_var < math.inf):
+            raise ValueError("base measure needs a finite mean and a positive "
+                             f"finite variance, got ({base_mean}, {base_var})")
+        base_sd = math.sqrt(base_var)
     tail_w: list[float] = []
     tail_atoms: list[float] = []
     steps = 0
@@ -207,8 +241,8 @@ def extend_components(rng: RngStream, residual, umin, alpha: float,
         if steps >= MAX_EXTENSION:
             raise RunawayExtensionError(umin=umin, cap=MAX_EXTENSION)
         if with_atoms:
-            tail_atoms.append(sample_normal(rng, cfg.base_mean, cfg.base_var))
-        v = sample_beta(rng, 1.0, alpha)
+            tail_atoms.append(rng.normal(base_mean, base_sd))
+        v = min(max(rng.beta(1.0, alpha), WEIGHT_FLOOR), WEIGHT_CEIL)
         w = v * residual
         tail_w.append(w)
         residual -= w
@@ -411,8 +445,8 @@ def slice_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
         atoms_occ = sample_atoms_conjugate(rng, y, part, cfg)
         slices, umin = sample_slices(rng, part, allocated)
         tail_w, tail_atoms, _ = extend_components(rng, residual, umin, alpha, cfg)
-        all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
-        all_atoms = np.concatenate([atoms_occ, np.asarray(tail_atoms, dtype=float)])
+        all_w = np.concatenate([allocated, tail_w])
+        all_atoms = np.concatenate([atoms_occ, tail_atoms])
         raw = slice_allocation_update(rng, y, all_w, all_atoms, slices, cfg)
         return raw, all_w.size, all_atoms
     return _sweep(kernel, state, data, cfg, rng, iteration)
@@ -430,7 +464,7 @@ def slice_sweep_marginal_atoms(state: MixtureState, data, cfg: ModelConfig,
         slices, umin = sample_slices(rng, part, allocated)
         tail_w, _, _ = extend_components(rng, residual, umin, alpha, cfg,
                                          with_atoms=False)
-        all_w = np.concatenate([allocated, np.asarray(tail_w, dtype=float)])
+        all_w = np.concatenate([allocated, tail_w])
         raw = _marginal_allocation_pass(rng, y.tolist(), part.labels.tolist(),
                                         all_w, slices, cfg)
         return raw, all_w.size, None

@@ -841,6 +841,16 @@ class TestErrorHandling:
         ("run", {"dataset": {"path": 5}}, "dataset.path must be a string, got 5"),
         ("generate", {"datasets": [{"kind": "zipf", "n": 9, "name": 5}]},
          "datasets[0].name must be a string, got 5"),
+        # two entries written to one file: the same default name, or the
+        # same name set on both
+        ("generate", {"datasets": [{"kind": "zipf", "n": 9},
+                                   {"kind": "zipf", "n": 9,
+                                    "params": {"separation": 2.0}}]},
+         "datasets[0] and datasets[1] would both be written to zipf_n9.csv"),
+        ("generate", {"datasets": [{"kind": "zipf", "n": 9, "name": "a"},
+                                   {"kind": "three-cluster", "n": 30},
+                                   {"kind": "zipf", "n": 12, "name": "a"}]},
+         "datasets[0] and datasets[2] would both be written to a.csv"),
     ])
     def test_malformed_setting_is_config_error(self, tmp_path, capsys, command,
                                                conf, message):

@@ -1,5 +1,6 @@
 """State types, canonical relabeling, likelihood, and the Rand index."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from dpslice import core
 from dpslice.core import (
     FINITE,
     POSITIVE,
@@ -106,12 +108,40 @@ class TestRelabelAgainstUnique:
     @pytest.mark.parametrize("raw", [[3, 1, 3, 2, 1, 5], [13, 2, 13],
                                      [2**62, 1, 2**62]])
     def test_dense_and_sparse_values(self, raw):
-        # labels up to 2n index a table; larger ones go through a dict
+        # values above 2n go through a dict; so do these short vectors,
+        # which are under RELABEL_TABLE_MIN_N long (the table path is
+        # pinned by test_each_side_of_the_table_cut)
         part, origin = relabel_compact_with_map(raw)
         labels, sizes, expected_origin = _relabel_by_unique(raw)
         assert part.labels.tolist() == labels.tolist()
         assert part.sizes.tolist() == sizes.tolist()
         assert origin.tolist() == expected_origin.tolist()
+
+    @pytest.mark.parametrize("n", [core.RELABEL_TABLE_MIN_N - 1,
+                                   core.RELABEL_TABLE_MIN_N, 150])
+    @pytest.mark.parametrize("step,top", [(7, 13), (5, 40), (1, 3)])
+    def test_each_side_of_the_table_cut(self, n, step, top):
+        # fewer than RELABEL_TABLE_MIN_N labels go through the dict, more
+        # through the table (labels here stay under 2n); both give the
+        # reference's blocks
+        raw = [(step * i) % top + 1 for i in range(n)]
+        with mock.patch.object(core, "_relabel_by_dict",
+                               wraps=core._relabel_by_dict) as by_dict:
+            part, origin = relabel_compact_with_map(np.array(raw))
+        assert by_dict.called == (n < core.RELABEL_TABLE_MIN_N)
+        labels, sizes, expected_origin = _relabel_by_unique(raw)
+        assert part.labels.tolist() == labels.tolist()
+        assert part.sizes.tolist() == sizes.tolist()
+        assert origin.tolist() == expected_origin.tolist()
+        assert part.labels.dtype == part.sizes.dtype == origin.dtype == np.int64
+
+    @pytest.mark.parametrize("n", [core.RELABEL_TABLE_MIN_N - 1,
+                                   core.RELABEL_TABLE_MIN_N])
+    def test_bad_labels_rejected_on_each_side_of_the_cut(self, n):
+        for bad in (0, -2):
+            raw = [1] * (n - 1) + [bad]
+            with pytest.raises(ValueError, match="positive integers"):
+                relabel_compact(raw)
 
 
 class TestPartitionValidate:

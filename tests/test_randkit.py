@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpslice.randkit import (
+    DIRICHLET_ARRAY_MIN_K,
     LOG_UNDERFLOW,
     NoValidCategoryError,
     RngStream,
@@ -215,6 +216,14 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             sample_dirichlet(RngStream(seed=0), conc)
 
+    @pytest.mark.parametrize("conc", [[1.0, math.nan], [1.0, -math.inf],
+                                      [math.nan] * 9, [1.0] * 8 + [-math.inf]])
+    def test_nan_and_minus_inf_concentration_rejected(self, conc):
+        # numpy's Gamma draw returns NaN for a NaN shape and has its own
+        # error for a negative one; the Dirichlet's check comes first
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            sample_dirichlet(RngStream(seed=0), conc)
+
     def test_renormalized_entries_stay_in_clamp_window(self):
         # with a tiny alpha the occupied weight often rounds to 1.0 and the
         # renormalization after the first clamp pushes it back out
@@ -232,6 +241,25 @@ class TestDirichlet:
         assert np.array_equal(batched, one_by_one)
         assert np.array_equal(sample_dirichlet(RngStream(seed=45), conc, batch=1)[0],
                               sample_dirichlet(RngStream(seed=45), conc))
+
+    @pytest.mark.parametrize("k", [2, DIRICHLET_ARRAY_MIN_K - 1,
+                                   DIRICHLET_ARRAY_MIN_K, 40])
+    @pytest.mark.parametrize("seed", [0, 47, 2**40 + 3])
+    def test_unbatched_draw_matches_one_array_gamma_call(self, k, seed):
+        # below DIRICHLET_ARRAY_MIN_K entries the Gamma variates come from
+        # one scalar call each; either way the draw is the one a single
+        # array call and the clamp-and-normalize steps give
+        conc = np.random.default_rng(seed).uniform(0.05, 12.0, k)
+        a, b = RngStream(seed=seed), RngStream(seed=seed)
+        g = a.standard_gamma(conc)
+        np.maximum(g, WEIGHT_FLOOR, out=g)
+        g /= g.sum()
+        g = np.clip(g, WEIGHT_FLOOR, WEIGHT_CEIL)
+        g /= g.sum()
+        g = np.clip(g, WEIGHT_FLOOR, WEIGHT_CEIL)
+        w = sample_dirichlet(b, conc)
+        assert w.tobytes() == g.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_batch_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ oracle, the concentration update against numerical quadrature, and the chain
 driver contract."""
 import contextlib
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,12 @@ from dpslice.core import (
     relabel_compact,
 )
 from dpslice.oracle import cluster_log_marginal, exact_posterior, tv_distance
-from dpslice.randkit import RngStream, sample_categorical_logweights
+from dpslice.randkit import (
+    RngStream,
+    sample_beta,
+    sample_categorical_logweights,
+    sample_normal,
+)
 from dpslice.samplers import (
     ChainResult,
     SamplerKind,
@@ -140,6 +146,14 @@ class TestAllocatedWeights:
         with pytest.raises(ValueError):
             sample_allocated_weights(RngStream(seed=0), sizes, alpha)
 
+    @pytest.mark.parametrize("sizes,alpha,message", [
+        ([math.nan], 1.0, "sizes must be"), ([2, math.nan], 1.0, "sizes must be"),
+        ([2], math.inf, "alpha must be"), ([2], math.nan, "alpha must be")])
+    def test_nan_and_inf_rejected_by_their_own_check(self, sizes, alpha, message):
+        # the Dirichlet would reject each of these too, with its own message
+        with pytest.raises(ValueError, match=message):
+            sample_allocated_weights(RngStream(seed=0), sizes, alpha)
+
 
 class TestAtomsConjugate:
     def test_single_point_posterior(self):
@@ -181,6 +195,31 @@ class TestAtomsConjugate:
         assert np.allclose(sample_atoms_conjugate(RngStream(seed=114), y, part,
                                                   cfg, 6)[3:], 7.0, atol=1e-4)
 
+    @pytest.mark.parametrize("seed", [0, 115, 2**33 + 1])
+    @pytest.mark.parametrize("labels,components", [
+        ([1, 2, 1, 3], None), ([1, 2, 1, 3], 3), ([1, 2, 1, 3], 7),
+        ([1] * 9, None), ([1] * 9, 2), ([1, 2, 3, 4, 5, 6], 6)])
+    @pytest.mark.parametrize("cfg", [CFG, ModelConfig(sigma2=0.3, base_mean=-2.0,
+                                                      base_var=4.5)])
+    def test_draw_equals_normal_with_posterior_parameters(self, seed, labels,
+                                                          components, cfg):
+        # the atoms are standard Normal draws scaled and shifted in place;
+        # the reference is rng.normal over the posterior means and standard
+        # deviations, with the components past the blocks at zero members
+        y = np.random.default_rng(seed).normal(0.0, 3.0, len(labels))
+        part = relabel_compact(labels)
+        k = part.num_blocks if components is None else components
+        counts = np.zeros(k)
+        counts[:part.num_blocks] = part.sizes
+        sums = np.bincount(part.labels, weights=y, minlength=k + 1)[1:]
+        mean, var = _posterior(counts, sums, _conjugate_prior(cfg))
+        a, b = RngStream(seed=seed), RngStream(seed=seed)
+        expected = a.normal(mean, np.sqrt(var))
+        got = sample_atoms_conjugate(b, y, part, cfg, components)
+        assert got.shape == (k,)
+        assert got.tobytes() == expected.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
 
 class TestSampleSlices:
     def test_support_below_own_weight(self):
@@ -202,6 +241,13 @@ class TestSampleSlices:
         part = relabel_compact([1, 2])
         with pytest.raises(InconsistentStateError):
             sample_slices(RngStream(seed=0), part, np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("weights", [[0.5, math.nan], [math.nan, 0.5],
+                                         [[0.5, 0.2], [0.5, math.nan]]])
+    def test_nan_own_block_weight_rejected(self, weights):
+        part = relabel_compact([1, 2])
+        with pytest.raises(InconsistentStateError):
+            sample_slices(RngStream(seed=0), part, np.array(weights))
 
 
 class TestExtendComponents:
@@ -248,6 +294,48 @@ class TestExtendComponents:
     def test_bad_input(self, residual, umin, alpha):
         with pytest.raises(ValueError):
             extend_components(RngStream(seed=0), residual, umin, alpha, CFG)
+
+    @pytest.mark.parametrize("residual,umin,alpha", [
+        (0.5, 0.2, math.inf), (0.5, 0.2, math.nan), (0.3, 0.5, math.inf),
+        (np.array([0.5, 0.9]), np.array([0.2, 0.1]), math.inf)])
+    def test_alpha_must_be_finite(self, monkeypatch, residual, umin, alpha):
+        # Beta(1, inf) draws 0, which would clamp every stick to the floor
+        # and run the extension to its cap
+        monkeypatch.setattr(samplers, "MAX_EXTENSION", 100)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            extend_components(RngStream(seed=0), residual, umin, alpha, CFG)
+
+    @pytest.mark.parametrize("base_mean,base_var", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.0, 0.0), (0.0, -1.0),
+        (0.0, math.inf), (0.0, math.nan)])
+    def test_bad_base_measure(self, base_mean, base_var):
+        # ModelConfig rejects these; the extension checks the base measure
+        # it draws atoms from itself, once per call
+        cfg = SimpleNamespace(base_mean=base_mean, base_var=base_var)
+        with pytest.raises(ValueError, match="base measure"):
+            extend_components(RngStream(seed=0), 1.0, 0.01, 1.0, cfg)
+        tail_w, _, _ = extend_components(RngStream(seed=0), 1.0, 0.01, 1.0,
+                                         cfg, with_atoms=False)
+        assert tail_w
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 6.0])
+    @pytest.mark.parametrize("seed", [0, 136, 2**35 + 9])
+    def test_steps_draw_as_sample_normal_and_sample_beta(self, alpha, seed):
+        # each step draws its atom and its stick as sample_normal and
+        # sample_beta would, in that order, with the same clamp
+        cfg = ModelConfig(base_mean=1.5, base_var=2.0)
+        a, b = RngStream(seed=seed), RngStream(seed=seed)
+        tail_w, tail_atoms, residual = extend_components(a, 1.0, 1e-3, alpha, cfg)
+        ref_w, ref_atoms, ref_residual = [], [], 1.0
+        while ref_residual > 1e-3:
+            ref_atoms.append(sample_normal(b, cfg.base_mean, cfg.base_var))
+            w = sample_beta(b, 1.0, alpha) * ref_residual
+            ref_w.append(w)
+            ref_residual -= w
+        assert tail_w == ref_w and tail_atoms == ref_atoms
+        assert residual == ref_residual
+        assert all(type(x) is float for x in tail_w + tail_atoms)
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 
