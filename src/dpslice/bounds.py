@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import LABEL_DTYPE, ModelConfig, Partition, is_integer
+from .core import LABEL_DTYPE, POSITIVE, UNIT, Partition, check, is_integer
 from .randkit import RngStream
 from .samplers import extend_components, sample_allocated_weights, sample_slices
 
@@ -71,10 +71,8 @@ def overhead_bound_constants(alpha: float, delta: float) -> BoundConstants:
     c_delta = b1 + b2 log(1/delta)
     d_alpha = b1 / log 2 + b2
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check(alpha, "alpha", POSITIVE)
+    check(delta, "delta", UNIT)
     b2 = (6.0 * alpha + 1.0) / LN2
     b1 = 12.0 * alpha + (1.0 + 3.0 * alpha * math.log(8.0 * math.e * (1.0 + alpha) ** 2)
                          + LN2) / LN2
@@ -89,10 +87,8 @@ def umin_tail_bound(n: int, alpha: float, x: float) -> float:
     any partition of n items. A bound, not a probability: it may exceed 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x must lie in (0, 1), got {x}")
+    check(alpha, "alpha", POSITIVE)
+    check(x, "x", UNIT)
     return float(n * (alpha + n - 1.0) * x * (1.0 + math.log(1.0 / x)))
 
 
@@ -101,10 +97,8 @@ def umin_threshold(n: int, alpha: float, delta: float) -> float:
     (alpha+n-1) e / delta)), for which the u_min tail bound is <= delta/2."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check(alpha, "alpha", POSITIVE)
+    check(delta, "delta", UNIT)
     q = n * (alpha + n - 1.0)
     return float(delta / (4.0 * q * math.log(2.0 * q * math.e / delta)))
 
@@ -200,15 +194,14 @@ def simulate_overhead(rng: RngStream, n: int, spec, alpha: float,
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    check(alpha, "alpha", POSITIVE)
     sizes = resolve_partition_sizes(spec, n)
     part = _partition_from_sizes(sizes)
     spec_name = spec if isinstance(spec, str) else "custom"
     residual = np.empty(replicates)
     umins = np.empty(replicates)
     _fill_slice_minima(rng, part, alpha, umins, residual)
-    k_minus_h, _ = extend_components(rng, residual, umins, alpha, ModelConfig())
+    k_minus_h, _ = extend_components(rng, residual, umins, alpha)
     return OverheadSamples(spec=spec_name, n=n, alpha=alpha,
                            k_minus_h=k_minus_h, umin=umins)
 
@@ -297,8 +290,7 @@ def simulate_umin(rng: RngStream, sizes, alpha: float, replicates: int) -> np.nd
     sizes = _block_sizes(sizes)
     if sizes.size == 0:
         raise ValueError("sizes must name at least one block")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    check(alpha, "alpha", POSITIVE)
     umin = np.empty(replicates)
     _fill_slice_minima(rng, _partition_from_sizes(sizes), alpha, umin)
     return umin
@@ -405,14 +397,12 @@ def check_poisson_stick_law(rng: RngStream, x: float, alpha: float,
     from the right until every expected count reaches 5, failing at a
     p-value under POISSON_SIGNIFICANCE. Valid for replicate counts of 10^5
     and up."""
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x must lie in (0, 1), got {x}")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    check(x, "x", UNIT)
+    check(alpha, "alpha", POSITIVE)
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     counts, _ = extend_components(rng, np.ones(replicates),
-                                  np.full(replicates, x), alpha, ModelConfig())
+                                  np.full(replicates, x), alpha)
     shifted = counts - 1
     rate = alpha * math.log(1.0 / x)
     sample_mean = float(shifted.mean())

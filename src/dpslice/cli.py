@@ -39,6 +39,7 @@ from .bounds import (
 from .core import (
     MODEL_RULES,
     POSITIVE,
+    UNIT,
     ModelConfig,
     TraceRecord,
     check,
@@ -179,6 +180,8 @@ CHAIN = {"iters": (PRESETS["paper"]["iters"],
                    _integer(MIN_TRACE_LENGTH, " for the effective sample size")),
          "time_budget_s": (1.0, BUDGET), **MODEL}
 OBJECTS = _list_of(OBJECT[0], "JSON objects", nonempty=False)  # each with a table
+# the size of the data set of a `run` chain or a benchmark cell
+CHAIN_N = _integer(2, ", since the Rand index against the true labels needs a pair")
 
 
 def _model_config(conf: dict) -> ModelConfig:
@@ -200,9 +203,17 @@ def _write_json(path: Path, obj) -> None:
 # generate
 
 
+def _file_name(value, key: str) -> str:
+    """The rule: a string that names a file in the output directory."""
+    check(value, key, STRING)
+    return check(value, key, (lambda v: v not in ("", ".", "..")
+                              and not {"/", "\\", "\0"} & set(v),
+                              "a file name: not empty, . or .., and without /, \\ or NUL"))
+
+
 # an entry of `datasets`, written to <name>.csv (by default <kind>_n<n>.csv)
 DATASETS_ENTRY = {"kind": (REQUIRED, LATER), "n": (REQUIRED, _integer(1)),
-                  "params": ({}, OBJECT), "name": (None, STRING)}
+                  "params": ({}, OBJECT), "name": (None, _file_name)}
 GENERATE = {"datasets": ([{"kind": "three-cluster", "n": 150},
                           {"kind": "zipf", "n": 300}], OBJECTS)}
 
@@ -324,7 +335,7 @@ def _sampler(value, key: str) -> dict:
     return _settings(value, SAMPLER, f"{key}.")
 
 
-DATASET = {"kind": ("three-cluster", LATER), "n": (600, _integer(1)),
+DATASET = {"kind": ("three-cluster", LATER), "n": (600, CHAIN_N),
            "params": ({}, OBJECT)}
 # make_sweep checks the sampler kind and the truncation level together
 SAMPLER = {"kind": ("slice", LATER), "L": (None, LATER)}
@@ -335,9 +346,12 @@ RUN = {**CHAIN, "burnin": (PRESETS["paper"]["burnin"], _integer(0)),
 def cmd_run(args: argparse.Namespace) -> int:
     conf = _config(args, RUN)
     seed, dconf, sconf = conf["seed"], conf["dataset"], conf["sampler"]
-    ds = (load_dataset(dconf["path"]) if "path" in dconf
-          else make_dataset(dconf["kind"], RngStream(seed=seed, stream=0),
-                            dconf["n"], **dconf["params"]))
+    if "path" in dconf:
+        ds = load_dataset(dconf["path"])
+        CHAIN_N(ds.n, f"the row count of {dconf['path']}")
+    else:
+        ds = make_dataset(dconf["kind"], RngStream(seed=seed, stream=0),
+                          dconf["n"], **dconf["params"])
     kind = SamplerKind(sconf["kind"])
     L, init = _chain_start(ds.y, kind, sconf["L"],
                            RngStream(seed=seed, stream=1))
@@ -456,7 +470,7 @@ def _benchmark_cell(cell: dict) -> dict:
 
 # a grid cell; the benchmark object and the top level set the defaults of
 # the keys after L
-BENCHMARK_CELL = {"sampler": (REQUIRED, LATER), "n": (REQUIRED, _integer(1)),
+BENCHMARK_CELL = {"sampler": (REQUIRED, LATER), "n": (REQUIRED, CHAIN_N),
                   "L": (None, LATER), "dataset_kind": ("three-cluster", LATER),
                   "dataset_params": ({}, OBJECT), "burnin": (0, _integer(0)), **CHAIN}
 # cell defaults, checked in each cell; null leaves a cell the top-level value
@@ -528,7 +542,7 @@ VERIFY = {
                                              f"names from {list(VERIFY_CHECKS)}")),
     "alphas": ([0.5, 1.0, 5.0], _list_of(POSITIVE[0], "positive finite numbers")),
     "ns": ([100, 1_000, 10_000], _list_of(is_integer, "integers")),
-    "deltas": ([0.1, 0.01], _list_of(lambda d: is_number(d) and 0 < d < 1, "numbers in (0, 1)")),
+    "deltas": ([0.1, 0.01], _list_of(UNIT[0], "numbers in (0, 1)")),
     "tails_at": ([[1_000, 1.0]], _list_of(
         lambda p: isinstance(p, list) and len(p) == 2 and is_integer(p[0])
         and POSITIVE[0](p[1]), "[integer n, positive alpha] pairs", nonempty=False)),

@@ -45,6 +45,7 @@ def is_number(value) -> bool:
 
 FINITE = (lambda v: is_number(v) and -math.inf < v < math.inf, "a finite number")
 POSITIVE = (lambda v: is_number(v) and 0.0 < v < math.inf, "a positive finite number")
+UNIT = (lambda v: is_number(v) and 0.0 < v < 1.0, "a number in (0, 1)")
 
 
 def check(value, name: str, rule):
@@ -114,23 +115,16 @@ class Partition:
         return int(self.sizes.size)
 
     def validate(self) -> None:
-        labels, sizes = self.labels, self.sizes
-        if labels.ndim != 1 or labels.size == 0:
-            raise InconsistentStateError("labels must be a nonempty 1-D vector")
-        h = sizes.size
-        if labels.min() != 1 or labels.max() != h:
-            raise InconsistentStateError("labels must cover 1..H exactly")
-        counts = np.bincount(labels, minlength=h + 1)[1:]
-        if not np.array_equal(counts, sizes):
+        """Fail unless the labels are in canonical form, the form
+        :func:`relabel_compact` gives, and the sizes count them."""
+        try:
+            canon = relabel_compact(self.labels)
+        except ValueError as exc:
+            raise InconsistentStateError(str(exc)) from None
+        if not np.array_equal(canon.labels, self.labels):
+            raise InconsistentStateError("labels not 1..H in order of appearance")
+        if not np.array_equal(canon.sizes, self.sizes):
             raise InconsistentStateError("sizes disagree with labels")
-        nxt = 1
-        seen = set()
-        for c in labels.tolist():
-            if c not in seen:
-                if c != nxt:
-                    raise InconsistentStateError("labels not in order of appearance")
-                seen.add(c)
-                nxt += 1
 
 
 # below this many labels, relabel_compact numbers them through a dict

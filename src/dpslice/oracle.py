@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .core import LABEL_DTYPE, LOG_2PI, ModelConfig, relabel_compact
+from .core import LABEL_DTYPE, LOG_2PI, POSITIVE, ModelConfig, check, relabel_compact
 
 MAX_ENUM_N = 12
 
@@ -98,8 +98,7 @@ def log_eppf_dp(sizes, alpha: float) -> float:
     s = np.asarray(sizes, dtype=float)
     if s.ndim != 1 or s.size == 0 or np.any(s < 1):
         raise ValueError("sizes must be a nonempty vector of positive counts")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    check(alpha, "alpha", POSITIVE)
     n = int(s.sum())
     return float(s.size * math.log(alpha)
                  + sum(math.lgamma(v) for v in s.tolist())
@@ -183,8 +182,7 @@ def exact_posterior(data, alpha: float, cfg: ModelConfig) -> ExactPosterior:
     n = y.size
     if n > MAX_ENUM_N:
         raise ValueError(f"exact posterior capped at n = {MAX_ENUM_N}; got {n}")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    check(alpha, "alpha", POSITIVE)
 
     # marginal likelihood of every nonempty subset, indexed by bitmask
     marg = np.empty(1 << n)

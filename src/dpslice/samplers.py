@@ -34,9 +34,10 @@ draw per observation, because an observation that opens a cluster draws the
 new atom before the next observation picks.
 
 One helper, ``_posterior``, holds the Normal-Normal conjugate update behind
-every posterior atom draw and predictive density. The two collapsed passes
-keep each component's predictive and refresh only those of the component an
-observation leaves and the one it joins.
+every posterior atom draw, and ``_predictive`` the predictive of a new
+member. The two collapsed passes keep each component's predictive and
+refresh only those of the component an observation leaves and the one it
+joins; both urn sweeps score a new cluster with ``_new_cluster``.
 
 Every sweep pays the draws of its weights, atoms and slices and the relabel
 and log likelihood once, whatever n is, so these steps keep numpy's per-call
@@ -55,7 +56,7 @@ same functions a sweep calls with one. The weight and slice draws run the
 same code either way. The stick extension runs a masked loop over the
 replicates that draws sticks and no atoms, since the harness counts
 components only; with one replicate it consumes the stream exactly as the
-scalar loop does without atoms, the form the marginal slice sweep runs.
+scalar loop does given no ``base``, the form the marginal slice sweep runs.
 """
 from __future__ import annotations
 
@@ -69,12 +70,14 @@ import numpy as np
 from .core import (
     LABEL_DTYPE,
     LOG_2PI,
+    POSITIVE,
     InconsistentStateError,
     MixtureState,
     ModelConfig,
     Partition,
     RunawayExtensionError,
     TraceRecord,
+    check,
     is_integer,
     log_likelihood,
     relabel_compact,
@@ -138,18 +141,34 @@ def _conjugate_prior(cfg: ModelConfig):
     return 1.0 / cfg.base_var, cfg.base_mean / cfg.base_var, cfg.sigma2
 
 
-def _posterior(count, total, prior, noise=0.0):
+def _posterior(count, total, prior):
     """Posterior (mean, variance) of a component's location given ``count``
     members that sum to ``total``; with arrays, one pair per component.
 
     Normal-Normal conjugacy: precision 1/base_var + count/sigma2, mean the
-    precision-weighted average of prior mean and block sum. With ``noise``
-    set to sigma2 the variance is that of the predictive of a new member,
-    which at count 0 is the prior predictive.
+    precision-weighted average of prior mean and block sum.
     """
     prec0, m0_prec0, s2 = prior
     prec = prec0 + count / s2
-    return (m0_prec0 + total / s2) / prec, 1.0 / prec + noise
+    return (m0_prec0 + total / s2) / prec, 1.0 / prec
+
+
+def _predictive(count, total, prior):
+    """(mean, variance, LOG_2PI + log variance) of the Normal predictive of
+    a new member, the entry the collapsed passes score with; at count 0 the
+    prior predictive. Worked out directly: the passes call it per member."""
+    prec0, m0_prec0, s2 = prior
+    prec = prec0 + count / s2
+    var = 1.0 / prec + s2
+    return (m0_prec0 + total / s2) / prec, var, LOG_2PI + math.log(var)
+
+
+def _new_cluster(prior, alpha: float):
+    """(m0, inv2p, c) for the urn's log weight of opening a cluster at y,
+    c - inv2p * (y - m0)^2: log alpha plus the prior predictive's log
+    density, with inv2p = 1 / (2 var0) and c = log alpha - log(2 pi var0) / 2."""
+    m0, var0, norm0 = _predictive(0, 0.0, prior)
+    return m0, 0.5 / var0, math.log(alpha) - 0.5 * norm0
 
 
 def sample_atoms_conjugate(rng: RngStream, data, partition: Partition, cfg: ModelConfig,
@@ -197,22 +216,25 @@ def sample_slices(rng: RngStream, partition: Partition, allocated):
 
 
 def extend_components(rng: RngStream, residual, umin, alpha: float,
-                      cfg: ModelConfig, with_atoms: bool = True):
+                      base: ModelConfig | None = None):
     """Grow the instantiated component set until leftover mass drops under
     the minimum slice.
 
     One stick draw Beta(1, alpha) per new component. A sweep passes one
     replicate as floats and gets (tail_weights, tail_atoms, final_residual)
-    back; ``with_atoms=False`` skips the atom draws from the base measure
-    for a sweep that integrates atoms out. The verification harness passes
+    back. Each new component draws its atom from the base measure of the
+    config ``base`` before its stick; a sweep that integrates atoms out
+    passes no ``base`` and gets no atoms. The verification harness passes
     equal-length vectors of residuals and slice minima, one entry per
     replicate, and gets (counts, final_residuals): the number of components
     each replicate instantiated and the leftover masses. That replicate form
-    draws sticks only, whatever ``with_atoms`` says.
+    draws sticks only and takes no ``base``.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if isinstance(residual, np.ndarray) and residual.ndim:
+        if base is not None:
+            raise ValueError("the replicate form draws no atoms; it takes no base")
         r = np.asarray(residual, dtype=float)
         u = np.asarray(umin, dtype=float)
         if r.ndim != 1 or r.shape != u.shape:
@@ -226,10 +248,10 @@ def extend_components(rng: RngStream, residual, umin, alpha: float,
         raise ValueError(f"residual must be in (0, 1], got {residual}")
     if not 0.0 < umin < 1.0:
         raise ValueError(f"umin must be in (0, 1), got {umin}")
-    if with_atoms:
+    if base is not None:
         # sample_normal's checks, once per call; each step then draws its
         # atom and stick as sample_normal and sample_beta do
-        base_mean, base_var = float(cfg.base_mean), float(cfg.base_var)
+        base_mean, base_var = float(base.base_mean), float(base.base_var)
         if not (math.isfinite(base_mean) and 0.0 < base_var < math.inf):
             raise ValueError("base measure needs a finite mean and a positive "
                              f"finite variance, got ({base_mean}, {base_var})")
@@ -240,7 +262,7 @@ def extend_components(rng: RngStream, residual, umin, alpha: float,
     while residual > umin:
         if steps >= MAX_EXTENSION:
             raise RunawayExtensionError(umin=umin, cap=MAX_EXTENSION)
-        if with_atoms:
+        if base is not None:
             tail_atoms.append(rng.normal(base_mean, base_sd))
         v = min(max(rng.beta(1.0, alpha), WEIGHT_FLOOR), WEIGHT_CEIL)
         w = v * residual
@@ -257,7 +279,7 @@ def _extend_masked(rng: RngStream, residual: np.ndarray, umin: np.ndarray,
     Each step draws one clamped Beta(1, alpha) stick for every replicate
     whose residual is still above its slice minimum, then drops the
     replicates that are done. With one replicate it consumes the stream
-    exactly as the scalar loop does with ``with_atoms=False``.
+    exactly as the scalar loop does without a ``base``.
     """
     final = residual.copy()
     counts = np.zeros(residual.size, dtype=np.int64)
@@ -290,8 +312,8 @@ def update_alpha_escobar_west(rng: RngStream, alpha: float, n: int,
         raise ValueError("alpha prior rate unresolved; call cfg.resolved_for(n)")
     if n < 1 or num_clusters < 1:
         raise ValueError("need n >= 1 and num_clusters >= 1")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     a = cfg.alpha_prior_shape
     b = cfg.alpha_prior_rate
     eta = sample_beta(rng, alpha + 1.0, float(n))
@@ -307,8 +329,7 @@ def truncation_error_bound(n: int, L: int, alpha: float) -> float:
     truncated approximation to the infinite mixture."""
     if n < 1 or L < 1:
         raise ValueError("need n >= 1 and L >= 1")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    check(alpha, "alpha", POSITIVE)
     return float(4.0 * n * math.exp(-(L - 1) / alpha))
 
 
@@ -379,28 +400,21 @@ def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
         counts[j] += 1
         sums[j] += y_l[i]
 
-    # predictive entries (mean, variance, LOG_2PI + log variance)
     prior = _conjugate_prior(cfg)
-    s2 = prior[2]
-    pred = []
-    for m, t in zip(counts, sums):
-        mean, var = _posterior(m, t, prior, s2)
-        pred.append((mean, var, LOG_2PI + math.log(var)))
+    pred = [_predictive(m, t, prior) for m, t in zip(counts, sums)]
     for i, (yi, p, u) in enumerate(zip(y_l, pos_l,
                                        rng.random(len(y_l)).tolist())):
         j = at[i]
         counts[j] -= 1
         sums[j] -= yi
-        mean, var = _posterior(counts[j], sums[j], prior, s2)
-        pred[j] = (mean, var, LOG_2PI + math.log(var))
+        pred[j] = _predictive(counts[j], sums[j], prior)
         logw = [-0.5 * (norm + (yi - mean) * (yi - mean) / var)
                 for mean, var, norm in pred[p:]]
         j = p + categorical_index(logw, u)
         at[i] = j
         counts[j] += 1
         sums[j] += yi
-        mean, var = _posterior(counts[j], sums[j], prior, s2)
-        pred[j] = (mean, var, LOG_2PI + math.log(var))
+        pred[j] = _predictive(counts[j], sums[j], prior)
     return [order_l[j] + 1 for j in at]
 
 
@@ -462,8 +476,7 @@ def slice_sweep_marginal_atoms(state: MixtureState, data, cfg: ModelConfig,
     def kernel(y, part, alpha):
         allocated, residual = sample_allocated_weights(rng, part.sizes, alpha)
         slices, umin = sample_slices(rng, part, allocated)
-        tail_w, _, _ = extend_components(rng, residual, umin, alpha, cfg,
-                                         with_atoms=False)
+        tail_w, _, _ = extend_components(rng, residual, umin, alpha)
         all_w = np.concatenate([allocated, tail_w])
         raw = _marginal_allocation_pass(rng, y.tolist(), part.labels.tolist(),
                                         all_w, slices, cfg)
@@ -541,10 +554,7 @@ def crp_sweep_atoms(state: MixtureState, data, cfg: ModelConfig,
         s2 = prior[2]
         inv2s = 0.5 / s2
         cnorm = -0.5 * (LOG_2PI + math.log(s2))
-        m0, pvar = _posterior(0, 0.0, prior, s2)
-        inv2p = 0.5 / pvar
-        pnorm = -0.5 * (LOG_2PI + math.log(pvar))
-        log_alpha = math.log(alpha)
+        m0, inv2p, new_score = _new_cluster(prior, alpha)
 
         for i, yi in enumerate(y.tolist()):
             c = labels[i] - 1
@@ -557,7 +567,7 @@ def crp_sweep_atoms(state: MixtureState, data, cfg: ModelConfig,
                 d = yi - atoms[k]
                 logw.append(math.log(counts[k]) + cnorm - inv2s * d * d)
             d0 = yi - m0
-            logw.append(log_alpha + pnorm - inv2p * d0 * d0)
+            logw.append(new_score - inv2p * d0 * d0)
             idx = sample_categorical_logweights(rng, logw)
             if idx == len(active):
                 slot = free.pop() if free else len(counts)
@@ -594,17 +604,9 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
         active = list(range(len(counts)))
         free: list[int] = []
 
-        # predictive entries (mean, variance, LOG_2PI + log variance)
         prior = _conjugate_prior(cfg)
-        s2 = prior[2]
-        pred = []
-        for m, t in zip(counts, sums):
-            mean, var = _posterior(m, t, prior, s2)
-            pred.append((mean, var, LOG_2PI + math.log(var)))
-        m0, pvar = _posterior(0, 0.0, prior, s2)
-        inv2p = 0.5 / pvar
-        pnorm = -0.5 * (LOG_2PI + math.log(pvar))
-        log_alpha = math.log(alpha)
+        pred = [_predictive(m, t, prior) for m, t in zip(counts, sums)]
+        m0, inv2p, new_score = _new_cluster(prior, alpha)
 
         for i, (yi, u) in enumerate(zip(y.tolist(),
                                         rng.random(y.size).tolist())):
@@ -615,15 +617,14 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
                 active.remove(c)
                 free.append(c)
             else:
-                mean, var = _posterior(counts[c], sums[c], prior, s2)
-                pred[c] = (mean, var, LOG_2PI + math.log(var))
+                pred[c] = _predictive(counts[c], sums[c], prior)
             logw = []
             for k in active:
                 mean, var, norm = pred[k]
                 d = yi - mean
                 logw.append(math.log(counts[k]) - 0.5 * (norm + d * d / var))
             d0 = yi - m0
-            logw.append(log_alpha + pnorm - inv2p * d0 * d0)
+            logw.append(new_score - inv2p * d0 * d0)
             idx = categorical_index(logw, u)
             if idx == len(active):
                 slot = free.pop() if free else len(counts)
@@ -639,8 +640,7 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
                 counts[slot] += 1
                 sums[slot] += yi
             labels[i] = slot + 1
-            mean, var = _posterior(counts[slot], sums[slot], prior, s2)
-            pred[slot] = (mean, var, LOG_2PI + math.log(var))
+            pred[slot] = _predictive(counts[slot], sums[slot], prior)
         return labels, len(active), None
     return _sweep(kernel, state, data, cfg, rng, iteration)
 

@@ -402,3 +402,25 @@ class TestPoissonStickLaw:
             check_poisson_stick_law(rng, x=0.5, alpha=-1.0, replicates=100)
         with pytest.raises(ValueError):
             check_poisson_stick_law(rng, x=0.5, alpha=1.0, replicates=1)
+
+
+# each function of the module that takes alpha, called with a given alpha;
+# a NaN or infinite one would give NaN or infinite constants, a zero slice
+# level, or a failure further down with another check's message
+ALPHA_TAKERS = {
+    "overhead_bound_constants": lambda a: overhead_bound_constants(a, 0.1),
+    "umin_tail_bound": lambda a: umin_tail_bound(10, a, 0.1),
+    "umin_threshold": lambda a: umin_threshold(10, a, 0.1),
+    "simulate_overhead": lambda a: simulate_overhead(RngStream(seed=0), 10,
+                                                     "singleton", a, 5),
+    "simulate_umin": lambda a: simulate_umin(RngStream(seed=0), [2, 1], a, 5),
+    "check_poisson_stick_law": lambda a: check_poisson_stick_law(
+        RngStream(seed=0), 0.5, a, 10),
+}
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+@pytest.mark.parametrize("fn", sorted(ALPHA_TAKERS))
+def test_nan_and_inf_alpha_rejected_by_the_alpha_rule(fn, alpha):
+    with pytest.raises(ValueError, match="alpha must be a positive finite number"):
+        ALPHA_TAKERS[fn](alpha)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -704,7 +705,7 @@ class TestErrorHandling:
          "dataset.n must be an integer"),
         ("run", {"dataset": {"kind": "zipf", "n": 2.7}},
          "dataset.n must be an integer"),
-        ("run", {"dataset": {"n": 0}}, "dataset.n must be >= 1"),
+        ("run", {"dataset": {"n": 0}}, "dataset.n must be >= 2"),
         ("generate", {"datasets": [{"kind": "zipf", "n": True}]},
          "datasets[0].n must be an integer"),
         ("run", {"dataset": {"params": {"foo": 1}}},
@@ -733,6 +734,14 @@ class TestErrorHandling:
         ("benchmark", {"benchmark": {"grid": [{"sampler": "slice", "n": 2}],
                                      "iters": 10}},
          "dataset kind 'three-cluster' needs n >= 3, got 2"),
+        # one observation: the chain would run and its report then fail on
+        # the Rand index, which needs a pair
+        ("run", {"dataset": {"kind": "zipf", "n": 1}, "iters": 20, "burnin": 5},
+         "dataset.n must be >= 2, since the Rand index"),
+        ("benchmark", {"benchmark": {"grid": [{"sampler": "slice", "n": 1,
+                                               "dataset_kind": "zipf"}],
+                                     "iters": 20}},
+         "benchmark cell 0 n must be >= 2, since the Rand index"),
     ])
     def test_malformed_dataset_is_config_error(self, tmp_path, capsys, command,
                                                conf, message):
@@ -756,6 +765,16 @@ class TestErrorHandling:
             tmp_path, "out", dataset={"path": str(data)}))
         assert main(["run", "--config", cfg]) == 2
         assert f"error: {data}, line {line}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_row_dataset_csv_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("y,true_label\n0.5,1\n")
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, _run_config(
+            tmp_path, "out", dataset={"path": str(data)}))
+        assert main(["run", "--config", cfg]) == 2
+        assert f"error: the row count of {data} must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,conf,message", [
@@ -851,6 +870,12 @@ class TestErrorHandling:
                                    {"kind": "three-cluster", "n": 30},
                                    {"kind": "zipf", "n": 12, "name": "a"}]},
          "datasets[0] and datasets[2] would both be written to a.csv"),
+        # a name that would leave the output directory or name no file
+        *[("generate", {"datasets": [{"kind": "zipf", "n": 9},
+                                     {"kind": "zipf", "n": 9, "name": name}]},
+           f"datasets[1].name must be a file name: not empty, . or .., and "
+           f"without /, \\ or NUL, got {name!r}")
+          for name in ("sub/x", "", ".", "..", "a\\b", "a\0b")],
     ])
     def test_malformed_setting_is_config_error(self, tmp_path, capsys, command,
                                                conf, message):
@@ -992,3 +1017,24 @@ class TestShippedConfigs:
             with pytest.raises(Sentinel):
                 main([command, "--config", cfg, "--seed", str(DEFAULT_SEED),
                       "--out", str(tmp_path / str(idx)), "--threads", "1"])
+
+
+class TestTracedNames:
+    def test_every_name_the_traced_benchmark_patches_exists(self, monkeypatch):
+        # the traced benchmark patches package functions by name on the
+        # namespace of modules that perfbench/run.py builds; a deleted or
+        # renamed one fails the patch here
+        monkeypatch.syspath_prepend(str(ROOT))
+        layers = importlib.import_module("perfbench.layers")
+        tracer = importlib.import_module("perfbench.tracer").Tracer()
+        probe = importlib.import_module("perfbench.workloads").Probe
+        dp = SimpleNamespace(**{name: importlib.import_module(f"dpslice.{name}")
+                                for name in layers.MODULES})
+        before = {name: dict(vars(module)) for name, module in vars(dp).items()}
+        try:
+            layers.install(tracer, dp)
+            with probe(dp):
+                pass
+        finally:
+            tracer.unpatch()
+        assert {name: dict(vars(module)) for name, module in vars(dp).items()} == before

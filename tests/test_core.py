@@ -154,6 +154,8 @@ class TestPartitionValidate:
         ([1, 1, 2], [1, 2]),          # sizes disagree
         ([], []),                     # empty
         ([2, 2, 1], [1, 2]),          # sizes agree, not order of appearance
+        ([0, 1], [1, 1]),             # a label below 1
+        ([-1, 1], [1, 1]),            # a negative label
     ])
     def test_rejects_invalid(self, labels, sizes):
         part = Partition(labels=np.asarray(labels, dtype=np.int64),

@@ -105,7 +105,8 @@ class TestLogEppf:
             log_eppf_dp([1, 2, 3], 0.7), rel=1e-12)
 
     @pytest.mark.parametrize("sizes,alpha", [([], 1.0), ([0, 2], 1.0),
-                                             ([2, 1], 0.0)])
+                                             ([2, 1], 0.0), ([2, 1], math.nan),
+                                             ([2, 1], math.inf)])
     def test_bad_input(self, sizes, alpha):
         with pytest.raises(ValueError):
             log_eppf_dp(sizes, alpha)
@@ -220,6 +221,12 @@ class TestExactPosterior:
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
             exact_posterior(np.zeros(MAX_ENUM_N + 1), 1.0, ModelConfig())
+
+    @pytest.mark.parametrize("alpha", [0.0, math.nan, math.inf])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        # a NaN or infinite alpha would score every partition NaN
+        with pytest.raises(ValueError, match="alpha must be a positive finite number"):
+            exact_posterior([0.1, 0.2], alpha, ModelConfig())
 
     def test_logsumexp_bit_equal_to_scipy(self):
         # the normalizer oracle_exact.csv is written with: bit for bit the

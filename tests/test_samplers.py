@@ -37,6 +37,7 @@ from dpslice.samplers import (
     _extend_masked,
     _marginal_allocation_pass,
     _posterior,
+    _predictive,
     bgs_sweep,
     crp_sweep_atoms,
     crp_sweep_collapsed,
@@ -270,16 +271,14 @@ class TestExtendComponents:
         # tail count - 1 at residual 1, threshold x follows Poisson(alpha log 1/x)
         rng = RngStream(seed=132)
         alpha, x, m = 2.0, math.exp(-1.0), 20_000
-        counts = np.array([len(extend_components(rng, 1.0, x, alpha, CFG,
-                                                 with_atoms=False)[0])
+        counts = np.array([len(extend_components(rng, 1.0, x, alpha)[0])
                            for _ in range(m)])
         rate = alpha * math.log(1.0 / x)
         assert abs((counts - 1).mean() - rate) < 3.0 * math.sqrt(rate / m)
 
     def test_atoms_skippable(self):
         tail_w, tail_atoms, _ = extend_components(RngStream(seed=133), 1.0,
-                                                  0.01, 1.0, CFG,
-                                                  with_atoms=False)
+                                                  0.01, 1.0)
         assert tail_atoms == [] and len(tail_w) > 0
 
     def test_runaway_cap(self, monkeypatch):
@@ -303,7 +302,7 @@ class TestExtendComponents:
         # and run the extension to its cap
         monkeypatch.setattr(samplers, "MAX_EXTENSION", 100)
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
-            extend_components(RngStream(seed=0), residual, umin, alpha, CFG)
+            extend_components(RngStream(seed=0), residual, umin, alpha)
 
     @pytest.mark.parametrize("base_mean,base_var", [
         (math.nan, 1.0), (math.inf, 1.0), (0.0, 0.0), (0.0, -1.0),
@@ -314,8 +313,7 @@ class TestExtendComponents:
         cfg = SimpleNamespace(base_mean=base_mean, base_var=base_var)
         with pytest.raises(ValueError, match="base measure"):
             extend_components(RngStream(seed=0), 1.0, 0.01, 1.0, cfg)
-        tail_w, _, _ = extend_components(RngStream(seed=0), 1.0, 0.01, 1.0,
-                                         cfg, with_atoms=False)
+        tail_w, _, _ = extend_components(RngStream(seed=0), 1.0, 0.01, 1.0)
         assert tail_w
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 6.0])
@@ -390,7 +388,7 @@ class TestReplicateAxis:
                                              seed):
         r = np.asarray(residual)
         u = np.full(r.size, umin_level)
-        counts, final = extend_components(RngStream(seed=seed), r, u, alpha, CFG)
+        counts, final = extend_components(RngStream(seed=seed), r, u, alpha)
         assert np.all(final <= u)
         assert np.all(final > 0.0)
         assert np.all((counts == 0) == (r <= u))
@@ -414,8 +412,7 @@ class TestReplicateAxis:
     def test_masked_loop_reproduces_scalar_loop(self, residual, umin, alpha,
                                                 seed):
         a, b = RngStream(seed=seed), RngStream(seed=seed)
-        tail_w, _, final = extend_components(a, residual, umin, alpha, CFG,
-                                             with_atoms=False)
+        tail_w, _, final = extend_components(a, residual, umin, alpha)
         counts, finals = _extend_masked(b, np.array([residual]),
                                         np.array([umin]), alpha)
         assert counts.tolist() == [len(tail_w)]
@@ -429,7 +426,7 @@ class TestReplicateAxis:
         m, alpha = 40_000, 1.5
         r = np.where(np.arange(m) % 2 == 0, 0.6, 1.0)
         u = np.where(np.arange(m) % 2 == 0, 0.01, 0.2)
-        counts, _ = extend_components(RngStream(seed=141), r, u, alpha, CFG)
+        counts, _ = extend_components(RngStream(seed=141), r, u, alpha)
         for pick in (r == 0.6, r == 1.0):
             rate = alpha * math.log(r[pick][0] / u[pick][0])
             shifted = counts[pick] - 1
@@ -448,7 +445,7 @@ class TestReplicateAxis:
         monkeypatch.setattr(samplers, "MAX_EXTENSION", 3)
         with pytest.raises(RunawayExtensionError) as err:
             extend_components(RngStream(seed=142), np.array([0.5, 1.0]),
-                              np.array([0.4, 1e-12]), 5.0, CFG)
+                              np.array([0.4, 1e-12]), 5.0)
         assert err.value.cap == 3 and err.value.umin == 1e-12
 
     @pytest.mark.parametrize("residual,umin,alpha", [
@@ -459,7 +456,13 @@ class TestReplicateAxis:
     def test_bad_vector_input(self, residual, umin, alpha):
         with pytest.raises(ValueError):
             extend_components(RngStream(seed=0), np.asarray(residual),
-                              np.asarray(umin), alpha, CFG)
+                              np.asarray(umin), alpha)
+
+    def test_replicate_form_takes_no_base(self):
+        # it draws no atoms, so a base measure would go unused
+        with pytest.raises(ValueError, match="takes no base"):
+            extend_components(RngStream(seed=0), np.array([0.5, 0.9]),
+                              np.array([0.2, 0.1]), 1.0, CFG)
 
     def test_zero_slices_are_redrawn(self):
         class FirstDrawZero:
@@ -556,6 +559,12 @@ class TestAlphaUpdate:
         with pytest.raises(ValueError):
             update_alpha_escobar_west(RngStream(seed=0), -1.0, 10, 1, cfg)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_nan_and_inf_alpha_rejected_by_its_own_check(self, alpha):
+        cfg = ModelConfig(alpha_prior_rate=2.0)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            update_alpha_escobar_west(RngStream(seed=0), alpha, 10, 1, cfg)
+
 
 class TestTruncationErrorBound:
     def test_printed_value(self):
@@ -578,6 +587,12 @@ class TestTruncationErrorBound:
             truncation_error_bound(1, 0, 1.0)
         with pytest.raises(ValueError):
             truncation_error_bound(1, 1, 0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_nan_and_inf_alpha_rejected(self, alpha):
+        # an infinite alpha would give the bound 4n whatever L is
+        with pytest.raises(ValueError, match="alpha must be a positive finite number"):
+            truncation_error_bound(10, 5, alpha)
 
 
 class TestSliceAllocationUpdate:
@@ -776,7 +791,7 @@ def _reference_crp_collapsed(state, data, cfg, rng, iteration=0):
     def kernel(y, part, alpha):
         prior = _conjugate_prior(cfg)
         s2 = prior[2]
-        m0, pvar = _posterior(0, 0.0, prior, s2)
+        m0, pvar, _ = _predictive(0, 0.0, prior)
         counts = part.sizes.tolist()
         sums = np.bincount(part.labels, weights=y)[1:].tolist()
         labels = part.labels.tolist()
@@ -791,7 +806,7 @@ def _reference_crp_collapsed(state, data, cfg, rng, iteration=0):
                 free.append(c)
             logw = []
             for k in active:
-                mean, var = _posterior(counts[k], sums[k], prior, s2)
+                mean, var, _ = _predictive(counts[k], sums[k], prior)
                 d = yi - mean
                 logw.append(math.log(counts[k])
                             - 0.5 * (LOG_2PI + math.log(var) + d * d / var))
@@ -864,15 +879,16 @@ class TestAllocationPassesMatchPerObservationDraws:
 
 class TestMarginalPredictive:
     def test_empty_component_prior_predictive(self):
-        mean, var = _posterior(0, 0.0, _conjugate_prior(CFG), CFG.sigma2)
-        assert (mean, var) == (0.0, 2.0)
+        mean, var, norm = _predictive(0, 0.0, _conjugate_prior(CFG))
+        assert (mean, var, norm) == (0.0, 2.0, LOG_2PI + math.log(2.0))
         density = math.exp(-0.5 * mean ** 2 / var) / math.sqrt(2.0 * math.pi * var)
         assert density == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-12)
         assert density == pytest.approx(0.2821, abs=5e-5)
 
     def test_single_member_predictive(self):
-        mean, var = _posterior(1, 2.0, _conjugate_prior(CFG), CFG.sigma2)
+        mean, var, norm = _predictive(1, 2.0, _conjugate_prior(CFG))
         assert mean == pytest.approx(1.0) and var == pytest.approx(1.5)
+        assert norm == LOG_2PI + math.log(var)
         density = math.exp(-0.5 * (2.0 - mean) ** 2 / var) \
             / math.sqrt(2.0 * math.pi * var)
         assert density == pytest.approx(0.2334, abs=5e-4)
@@ -885,13 +901,12 @@ class TestMarginalPredictive:
         members = [1.2, -0.4, 2.0]
         for k in range(len(members) + 1):
             y = 0.9 - k
-            mean, var = _posterior(k, sum(members[:k]), prior, cfg.sigma2)
+            mean, var, norm = _predictive(k, sum(members[:k]), prior)
             d = y - mean
             expected = cluster_log_marginal(members[:k] + [y], cfg)
             if k:
                 expected -= cluster_log_marginal(members[:k], cfg)
-            assert -0.5 * (LOG_2PI + math.log(var) + d * d / var) == \
-                pytest.approx(expected, rel=1e-12)
+            assert -0.5 * (norm + d * d / var) == pytest.approx(expected, rel=1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=2**32),
            n=st.integers(min_value=1, max_value=25),
@@ -913,8 +928,7 @@ class TestMarginalPredictive:
         rng = RngStream(seed=seed)
         allocated, residual = sample_allocated_weights(rng, part.sizes, 1.0)
         slices, umin = sample_slices(rng, part, allocated)
-        tail, _, _ = extend_components(rng, residual, umin, 1.0, cfg,
-                                       with_atoms=False)
+        tail, _, _ = extend_components(rng, residual, umin, 1.0)
         all_w = np.concatenate([allocated, tail])
         a, b = RngStream(seed=seed, stream=1), RngStream(seed=seed, stream=1)
         got = _marginal_allocation_pass(a, y_l, part.labels.tolist(), all_w,
