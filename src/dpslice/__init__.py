@@ -44,7 +44,6 @@ from .diagnostics import (
     BinderResult,
     EssResult,
     accumulate_coclustering,
-    binder_loss,
     binder_point_estimate,
     binder_point_estimate_sparse,
     ess,

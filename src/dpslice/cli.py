@@ -203,12 +203,29 @@ def _write_json(path: Path, obj) -> None:
 # generate
 
 
+# the longest file name, in bytes, that common file systems accept
+MAX_FILE_NAME_BYTES = 255
+
+
+def _utf8_size(text: str) -> float:
+    """The length of ``text`` in UTF-8 bytes; infinite for a string UTF-8
+    cannot encode (a lone surrogate), which no file can be named."""
+    try:
+        return len(text.encode("utf-8"))
+    except UnicodeEncodeError:
+        return math.inf
+
+
 def _file_name(value, key: str) -> str:
-    """The rule: a string that names a file in the output directory."""
+    """The rule: a string that names a file in the output directory, short
+    enough that its longest file, ``<value>.json``, can be written."""
     check(value, key, STRING)
+    limit = MAX_FILE_NAME_BYTES - len(".json")
     return check(value, key, (lambda v: v not in ("", ".", "..")
-                              and not {"/", "\\", "\0"} & set(v),
-                              "a file name: not empty, . or .., and without /, \\ or NUL"))
+                              and not {"/", "\\", "\0"} & set(v)
+                              and _utf8_size(v) <= limit,
+                              f"a file name: not empty, . or .., without /, \\ or "
+                              f"NUL, and at most {limit} bytes in UTF-8"))
 
 
 # an entry of `datasets`, written to <name>.csv (by default <kind>_n<n>.csv)

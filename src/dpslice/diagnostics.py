@@ -104,19 +104,6 @@ def accumulate_coclustering(samples) -> np.ndarray:
     return counts
 
 
-def binder_loss(labels, probabilities) -> float:
-    """Pairwise Binder loss sum over i<j of |1{c_i=c_j} - p_ij| of one
-    partition against a co-clustering probability matrix."""
-    lab = np.asarray(labels)
-    p = np.asarray(probabilities, dtype=float)
-    if p.shape != (lab.size, lab.size):
-        raise ValueError("probability matrix does not match label vector")
-    same = lab[:, None] == lab[None, :]
-    cell = np.where(same, 1.0 - p, p)
-    iu = np.triu_indices(lab.size, k=1)
-    return float(cell[iu].sum())
-
-
 @dataclass(frozen=True)
 class BinderResult:
     labels: np.ndarray

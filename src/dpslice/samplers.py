@@ -52,11 +52,17 @@ clamp.
 The weight and slice draws also take a leading replicate axis, and the stick
 extension takes vectors of residuals and slice minima, so the
 cost-verification harness in ``bounds`` runs many replicates through the
-same functions a sweep calls with one. The weight and slice draws run the
-same code either way. The stick extension runs a masked loop over the
-replicates that draws sticks and no atoms, since the harness counts
-components only; with one replicate it consumes the stream exactly as the
-scalar loop does given no ``base``, the form the marginal slice sweep runs.
+same functions a sweep calls with one, and a replicate gets the numbers a
+sweep would. A batch of weights draws what one broadcast Gamma call would,
+with long runs of unit concentrations filled by exponential draws (see
+``randkit``). The slice draw checks the H occupied weights rather than the
+n gathered ones, which every block's members make the same verdict, skips
+the gather when each observation has its own block, and takes the minimum
+of rows shorter than 8 entries column by column. The stick extension runs a
+masked loop over the replicates that draws sticks and no atoms, since the
+harness counts components only; with one replicate it consumes the stream
+exactly as the scalar loop does given no ``base``, the form the marginal
+slice sweep runs.
 """
 from __future__ import annotations
 
@@ -85,6 +91,7 @@ from .core import (
 )
 from .randkit import (
     RngStream,
+    SHORT_ROW_K,
     WEIGHT_CEIL,
     WEIGHT_FLOOR,
     categorical_index,
@@ -201,18 +208,34 @@ def sample_slices(rng: RngStream, partition: Partition, allocated):
     is gathered by its label. Returns the slices, of shape (n,) or (m, n),
     and their minimum over observations: a float, or one per replicate.
     """
-    wi = np.asarray(allocated, dtype=float).take(partition.labels - 1, axis=-1)
-    # a NaN minimum fails the comparison
-    if wi.size == 0 or not wi.min() > 0.0:
+    w = np.asarray(allocated, dtype=float)
+    # every block of a canonical partition has a member, so the gathered
+    # weights pass exactly when the occupied ones do; a NaN minimum fails
+    if w.size == 0 or not w.min() > 0.0:
         raise InconsistentStateError("slice interval requires positive weights")
+    # n blocks are labelled 1..n, and the gather would copy the weights as
+    # they are
+    wi = w if partition.num_blocks == partition.n else w.take(
+        partition.labels - 1, axis=-1)
     u = rng.random(wi.shape)
     u *= wi
-    umin = u.min(-1)
+    umin = _row_min(u)
     while (umin <= 0.0).any():
         zero = u <= 0.0
         u[zero] = wi[zero] * rng.random(int(zero.sum()))
-        umin = u.min(-1)
+        umin = _row_min(u)
     return u, float(umin) if u.ndim == 1 else umin
+
+
+def _row_min(u: np.ndarray):
+    """``u.min(-1)``; the rows of a batch shorter than SHORT_ROW_K are
+    reduced column by column, which costs less than numpy's loop per row."""
+    if u.ndim == 1 or u.shape[1] >= SHORT_ROW_K:
+        return u.min(-1)
+    umin = u[:, 0].copy()
+    for j in range(1, u.shape[1]):
+        np.minimum(umin, u[:, j], out=umin)
+    return umin
 
 
 def extend_components(rng: RngStream, residual, umin, alpha: float,

@@ -97,6 +97,15 @@ class TestGenerate:
         meta = json.loads((tmp_path / "gen" / "tiny.json").read_text())
         assert meta["params"] == {"separation": 2.0}
 
+    @pytest.mark.parametrize("name", ["x" * 250, "\u00e9" * 125])
+    def test_longest_name_writes_both_files(self, tmp_path, name):
+        # 250 bytes in UTF-8 leave room for the ".json" of a 255-byte name
+        cfg = _write_config(tmp_path, {"datasets": [{"kind": "zipf", "n": 9,
+                                                     "name": name}]})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
+        assert (tmp_path / "gen" / f"{name}.csv").exists()
+        assert (tmp_path / "gen" / f"{name}.json").exists()
+
 
 class TestRun:
     def test_slice_outputs_and_summary_schema(self, tmp_path):
@@ -873,9 +882,10 @@ class TestErrorHandling:
         # a name that would leave the output directory or name no file
         *[("generate", {"datasets": [{"kind": "zipf", "n": 9},
                                      {"kind": "zipf", "n": 9, "name": name}]},
-           f"datasets[1].name must be a file name: not empty, . or .., and "
-           f"without /, \\ or NUL, got {name!r}")
-          for name in ("sub/x", "", ".", "..", "a\\b", "a\0b")],
+           f"datasets[1].name must be a file name: not empty, . or .., "
+           f"without /, \\ or NUL, and at most 250 bytes in UTF-8, got {name!r}")
+          for name in ("sub/x", "", ".", "..", "a\\b", "a\0b", "x" * 251,
+                       "\u00e9" * 126, "a\ud800b")],
     ])
     def test_malformed_setting_is_config_error(self, tmp_path, capsys, command,
                                                conf, message):

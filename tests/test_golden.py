@@ -21,6 +21,7 @@ import json
 import numpy as np
 import pytest
 
+from dpslice.bounds import check_merge_chain, simulate_overhead
 from dpslice.cli import _binder_from_snapshots, main
 from dpslice.core import ModelConfig
 from dpslice.diagnostics import binder_point_estimate_sparse
@@ -149,3 +150,63 @@ def test_run_output_files(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     for name, digest in GOLDEN_RUN_FILES.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# The harness draws: SHA-256 of the ``k_minus_h`` and ``umin`` bytes of
+# ``simulate_overhead``, recorded from the batched Dirichlet that drew every
+# batch with one broadcast Gamma call and the slice draw that gathered each
+# observation's own weight. The singleton rows at n = 100 are all units
+# (alpha = 1) or units plus alpha; the explicit sizes put runs of units
+# between larger blocks; ``balanced:7`` has K = 8 entries, the first row
+# length whose sums numpy reduces with more than one accumulator; the last
+# two rows have runs long enough to be drawn row by row, run by run.
+HARNESS_SIZES = [1] * 20 + [4] + [1] * 25 + [2] + [1] * 15 + [7] + [1] * 12 + [3]
+LONG_RUN_SIZES = [1] * 700 + [5] + [1] * 600 + [3, 2] + [1] * 500 + [9]
+GOLDEN_OVERHEAD = [
+    ("singleton", 100, 0.5,
+     "4692d4b72ea668316793f88ce5eb38ac63053206f441b97993758e7766e73064",
+     "7092c06a24f68aefe38b7193ec56f253ca45fd6ac9839874e36e4b8e44c28ada"),
+    ("singleton", 100, 1.0,
+     "d2c0eb3f032269381f4cfbd9d3891ad170be3374c1f50860968a2a6459b1deb1",
+     "6c55168949cbc8da2bce00e306b6955b0284c41fa2615da8f3c3e758456de8ff"),
+    (HARNESS_SIZES, 88, 1.0,
+     "816057c91bff8fe7182e968946d272a994ef10fcbf385b4d755d6833e15ad957",
+     "d319276217127bc9a0576f94c7ee39f0aa2833825c7456151fc319d44de81956"),
+    ("balanced:7", 70, 1.0,
+     "067c8fe7bc73e4b41639fa418c199771568c841fec8559b055c17eaea79d8fdb",
+     "31b417df66ea78b8c0ac2a52c927cf8c75a402407623dd2c25c095d4fd85712f"),
+    ("singleton", 1000, 0.5,
+     "b6f13555f169d923070df3693d718b9f8b0256db71da79aaa8f1fb857390daf7",
+     "49749c79c12228419c06ade83c07fd1749d2ced449e41c9bc1c33c5d35b16439"),
+    (LONG_RUN_SIZES, 1819, 1.0,
+     "2dceadd9525934d016a1a84660596370eda3417f7f86290305ccf878f909e1e2",
+     "876f5e3a3aed278e5abb72e04447f010090eb663368a2f3d5aef6a2f0028bba5"),
+]
+
+
+def _sha(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("stream,spec,n,alpha,k_digest,u_digest",
+                         [(i, *row) for i, row in enumerate(GOLDEN_OVERHEAD)],
+                         ids=["singleton-half", "singleton-one", "explicit",
+                              "balanced-7", "singleton-1000",
+                              "explicit-long-runs"])
+def test_simulate_overhead_bytes(stream, spec, n, alpha, k_digest, u_digest):
+    s = simulate_overhead(RngStream(seed=2718, stream=stream), n, spec, alpha,
+                          replicates=3000)
+    assert (_sha(s.k_minus_h), _sha(s.umin)) == (k_digest, u_digest)
+
+
+# SHA-256 of the JSON of the n = 6 merge chain's reports; 25,000 replicates
+# per partition span three slice chunks, the last one partial
+GOLDEN_MERGE_CHAIN = (
+    "c264c0f3c2f80c44019bfb0c46a091399ad6f25e93bc857c379323674b5b7e6c")
+
+
+def test_merge_chain_reports():
+    chain = check_merge_chain(RngStream(seed=2718, stream=99), 6,
+                              (1e-3, 1e-2, 0.05), 25_000)
+    text = json.dumps([rep.to_dict() for rep in chain])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MERGE_CHAIN

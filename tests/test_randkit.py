@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from dpslice.randkit import (
     DIRICHLET_ARRAY_MIN_K,
+    DIRICHLET_RUN_MIN_LEN,
     LOG_UNDERFLOW,
     NoValidCategoryError,
     RngStream,
+    SHORT_ROW_K,
     WEIGHT_CEIL,
     WEIGHT_FLOOR,
     categorical_index,
@@ -264,6 +266,65 @@ class TestDirichlet:
     def test_batch_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_dirichlet(RngStream(seed=0), [1.0, 1.0], batch=0)
+
+
+# concentration layouts for the batched draw: every way it draws its Gamma
+# variates (one fill of all units, rows run by run, one broadcast call) and
+# every way it sums its rows (column by column below SHORT_ROW_K, by numpy's
+# reduction from it)
+LONG = 2 * DIRICHLET_RUN_MIN_LEN + 1
+BATCH_LAYOUTS = {
+    "all-ones": [1.0] * LONG,
+    "ones-plus-alpha": [1.0] * (LONG - 1) + [0.5],
+    "mixed-runs": ([2.0] + [1.0] * 800 + [3.0, 0.25, 7.0] + [1.0] * 700
+                   + [4.0] + [1.0] * 500 + [1.5]),
+    "short-ones-plus-alpha": [1.0] * (SHORT_ROW_K - 2) + [2.5],
+    "short-mixed": [1.0, 3.0, 1.0, 1.0, 0.5, 2.0, 1.0],
+    "short-ones": [1.0] * (SHORT_ROW_K - 1),
+    "k-8": [1.0] * (SHORT_ROW_K - 1) + [0.5],
+    "k-8-ones": [1.0] * SHORT_ROW_K,
+    "k-64": [1.0] * 30 + [2.0] + [1.0] * 32 + [0.7],
+    "no-units": list(np.linspace(0.2, 9.0, 70)),
+}
+
+
+def _broadcast_dirichlet(rng, conc, m):
+    """The reference for a batched draw: one broadcast Gamma call over the
+    batch, normalised with numpy's row sums and clipped."""
+    g = rng.standard_gamma(conc, size=(m, len(conc)))
+    np.maximum(g, WEIGHT_FLOOR, out=g)
+    g /= g.sum(axis=-1, keepdims=True)
+    g = np.clip(g, WEIGHT_FLOOR, WEIGHT_CEIL)
+    g /= g.sum(axis=-1, keepdims=True)
+    return np.clip(g, WEIGHT_FLOOR, WEIGHT_CEIL)
+
+
+class TestBatchedDirichlet:
+    @pytest.mark.parametrize("layout", list(BATCH_LAYOUTS))
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_matches_broadcast_reference(self, layout, m):
+        conc = np.array(BATCH_LAYOUTS[layout])
+        a, b = RngStream(seed=48, stream=m), RngStream(seed=48, stream=m)
+        w = sample_dirichlet(a, conc, batch=m)
+        assert w.tobytes() == _broadcast_dirichlet(b, conc, m).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("layout", list(BATCH_LAYOUTS))
+    def test_one_row_batch_is_the_unbatched_draw(self, layout):
+        conc = BATCH_LAYOUTS[layout]
+        a, b = RngStream(seed=49), RngStream(seed=49)
+        assert (sample_dirichlet(a, conc, batch=1)[0].tobytes()
+                == sample_dirichlet(b, conc).tobytes())
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("k", range(2, SHORT_ROW_K + 2))
+    def test_row_sums_match_numpy_at_every_short_length(self, k):
+        # the alpha entry is tiny and the units are not, so the rows' sums
+        # round differently in different orders
+        conc = [1.0] * (k - 1) + [1e-3]
+        a, b = RngStream(seed=50, stream=k), RngStream(seed=50, stream=k)
+        w = sample_dirichlet(a, conc, batch=2_000)
+        assert w.tobytes() == _broadcast_dirichlet(b, np.array(conc), 2_000).tobytes()
 
 
 class TestClampWeights:

@@ -481,6 +481,23 @@ class TestReplicateAxis:
         assert np.array_equal(u, 0.5 * alloc[:, part.labels - 1])
         assert np.array_equal(umin, [0.125, 0.1])
 
+    @pytest.mark.parametrize("sizes", [[1] * 6, [2, 1, 1, 1, 1], [1] * 20,
+                                       [3, 1, 4, 1, 5]])
+    @pytest.mark.parametrize("batch", [None, 1, 7])
+    def test_slices_match_gathered_reference(self, sizes, batch):
+        # singletons skip the gather and rows under 8 entries take their
+        # minimum column by column; both give the gathered draw's numbers
+        part = _labels_from_sizes(sizes)
+        a, b = RngStream(seed=143), RngStream(seed=143)
+        alloc, _ = sample_allocated_weights(a, part.sizes, 1.5, batch=batch)
+        u, umin = sample_slices(a, part, alloc)
+        alloc_b, _ = sample_allocated_weights(b, part.sizes, 1.5, batch=batch)
+        own = alloc_b.take(part.labels - 1, axis=-1)
+        ref = b.random(own.shape) * own
+        assert u.tobytes() == ref.tobytes()
+        assert np.array_equal(umin, ref.min(-1))
+        assert a.bit_generator.state == b.bit_generator.state
+
     def test_zero_weight_rejected_in_any_row(self):
         part = _labels_from_sizes([1, 1])
         with pytest.raises(InconsistentStateError):
