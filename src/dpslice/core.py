@@ -56,6 +56,19 @@ def check(value, name: str, rule):
     return value
 
 
+def check_data(data) -> np.ndarray:
+    """``data`` as a float vector if it is a nonempty 1-D vector of finite
+    numbers, else a ValueError naming the data."""
+    y = np.asarray(data, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError("data must be a nonempty 1-D vector")
+    bad = ~np.isfinite(y)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"data must be finite, got {float(y[i])} at index {i}")
+    return y
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Univariate Normal mixture with fixed observation variance and a

@@ -16,7 +16,15 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .core import LABEL_DTYPE, LOG_2PI, POSITIVE, ModelConfig, check, relabel_compact
+from .core import (
+    LABEL_DTYPE,
+    LOG_2PI,
+    POSITIVE,
+    ModelConfig,
+    check,
+    check_data,
+    relabel_compact,
+)
 
 MAX_ENUM_N = 12
 
@@ -176,9 +184,7 @@ class ExactPosterior:
 
 def exact_posterior(data, alpha: float, cfg: ModelConfig) -> ExactPosterior:
     """Enumerate-and-score posterior over partitions of the data."""
-    y = np.asarray(data, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("data must be a nonempty 1-D vector")
+    y = check_data(data)
     n = y.size
     if n > MAX_ENUM_N:
         raise ValueError(f"exact posterior capped at n = {MAX_ENUM_N}; got {n}")

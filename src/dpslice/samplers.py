@@ -20,10 +20,15 @@ the reported log likelihood and the trace record.
 Blocked Gibbs scores every observation against all L components, so its
 allocation is vectorized: it scores a block of observations at a time and
 picks the whole block with one batch of uniforms, still n*L candidates per
-sweep. The slice pass and the sequential passes loop over observations in
-Python with scalar per-component arithmetic, so their cost stays
-proportional to the candidates each observation actually has. Block draws
-(weights, atoms, slice variables) are vectorized.
+sweep. An observation of the slice pass whose slice leaves it one
+candidate, the heaviest component, gets that component whatever its
+uniform; the pass assigns all of these in one array step (about half the
+observations on power-law data) after checking, as the categorical rule
+would, that their log weights are finite. Its other observations and every
+observation of the sequential passes loop in Python with scalar
+per-component arithmetic, so their cost stays proportional to the
+candidates each observation actually has. Block draws (weights, atoms,
+slice variables) are vectorized.
 
 The categorical rule of ``randkit`` draws nothing; the allocation passes
 hand it their uniforms. The slice, marginal slice and collapsed urn passes
@@ -84,12 +89,14 @@ from .core import (
     RunawayExtensionError,
     TraceRecord,
     check,
+    check_data,
     is_integer,
     log_likelihood,
     relabel_compact,
     relabel_compact_with_map,  # not called here; perfbench patches it on this module
 )
 from .randkit import (
+    NoValidCategoryError,
     RngStream,
     SHORT_ROW_K,
     WEIGHT_CEIL,
@@ -370,13 +377,14 @@ def _next_alpha(rng: RngStream, state: MixtureState, cfg: ModelConfig) -> float:
 def _slice_candidates(all_weights, slices):
     """Each observation's candidates, the components whose weight strictly
     exceeds its slice: the component indices in increasing weight order, and
-    per observation (as a list) the position in that order of its first
-    candidate."""
+    per observation (an integer array) the position in that order of its
+    first candidate."""
     w = np.asarray(all_weights, dtype=float)
     order = np.argsort(w, kind="stable")
     pos = np.searchsorted(w[order], np.asarray(slices, dtype=float),
-                          side="right").tolist()
-    if max(pos) >= w.size:
+                          side="right")
+    # argmax, not max: no reduction call on the short arrays of small n
+    if pos[pos.argmax()] >= w.size:
         raise InconsistentStateError("slice above every instantiated weight")
     return order, pos
 
@@ -387,17 +395,40 @@ def slice_allocation_update(rng: RngStream, data, all_weights, atoms, slices,
     whose weight strictly exceeds its slice, with Normal likelihood weights.
 
     The n uniforms come from one ``rng.random(n)`` call, one per observation
-    in order."""
-    order, pos_l = _slice_candidates(all_weights, slices)
-    order_l = (order + 1).tolist()
-    atoms_sorted = np.asarray(atoms, dtype=float)[order].tolist()
+    in order. An observation whose first candidate is the last position in
+    the weight order has one candidate, the heaviest component, and all such
+    observations get it in one array step; only the others loop in Python
+    and pick with the categorical rule. A lone candidate's uniform goes
+    unused, as the rule leaves it, so every label and the stream are those
+    of a loop over all observations. The rule's error stays: a lone
+    candidate's log weight, worked out in the loop's order of operations,
+    must be finite."""
+    order, pos = _slice_candidates(all_weights, slices)
+    top = order.size - 1
+    y = np.asarray(data, dtype=float)
+    u = rng.random(y.size)
+    sorted_atoms = np.asarray(atoms, dtype=float)[order]
     neg_inv2s = -0.5 / cfg.sigma2
-    y_l = np.asarray(data, dtype=float).tolist()
-    out = []
-    for yi, p, u in zip(y_l, pos_l, rng.random(len(y_l)).tolist()):
-        logw = [neg_inv2s * (yi - a) * (yi - a) for a in atoms_sorted[p:]]
-        out.append(order_l[p + categorical_index(logw, u)])
-    return np.array(out, dtype=LABEL_DTYPE)
+    one = pos == top
+    rest = (~one).nonzero()[0]
+    if rest.size < y.size:
+        d = y[one] - sorted_atoms[top]
+        lw = neg_inv2s * d * d
+        # count_nonzero, not all(): no reduction call at small n
+        if np.count_nonzero(np.isfinite(lw)) < lw.size:
+            raise NoValidCategoryError("no category with positive weight")
+    labels = (order + 1).astype(LABEL_DTYPE, copy=False)
+    # each observation's first candidate: its pick when it is the only one
+    out = labels[pos]
+    if rest.size:
+        labels_l = labels.tolist()
+        atoms_l = sorted_atoms.tolist()
+        out[rest] = [
+            labels_l[p + categorical_index(
+                [neg_inv2s * (yi - a) * (yi - a) for a in atoms_l[p:]], ui)]
+            for yi, p, ui in zip(y[rest].tolist(), pos[rest].tolist(),
+                                 u[rest].tolist())]
+    return out
 
 
 def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
@@ -411,7 +442,7 @@ def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
     one to the end, and it keeps each position's predictive entry,
     refreshing only the two whose members change.
     """
-    order, pos_l = _slice_candidates(all_weights, slices)
+    order, pos = _slice_candidates(all_weights, slices)
     k_total = order.size
     order_l = order.tolist()
     rank = dict(zip(order_l, range(k_total)))
@@ -425,7 +456,7 @@ def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
 
     prior = _conjugate_prior(cfg)
     pred = [_predictive(m, t, prior) for m, t in zip(counts, sums)]
-    for i, (yi, p, u) in enumerate(zip(y_l, pos_l,
+    for i, (yi, p, u) in enumerate(zip(y_l, pos.tolist(),
                                        rng.random(len(y_l)).tolist())):
         j = at[i]
         counts[j] -= 1
@@ -719,9 +750,7 @@ def run_chain(data, cfg: ModelConfig, rng: RngStream, kind: SamplerKind,
     ``default_snapshot_thin(n)`` sweeps.
     """
     kind = SamplerKind(kind)
-    y = np.asarray(data, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("data must be a nonempty 1-D vector")
+    y = check_data(data)
     if iters < 1 or burnin < 0:
         raise ValueError("need iters >= 1 and burnin >= 0")
     n = y.size

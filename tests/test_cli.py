@@ -1021,7 +1021,8 @@ class TestShippedConfigs:
             monkeypatch.setattr(cli, name, _sentinel)
         configs = _shipped_configs(monkeypatch)
         assert sorted(command for command, _ in configs) == [
-            "benchmark", "oracle", "oracle", "run", "run", "run", "verify", "verify"]
+            "benchmark", "oracle", "oracle", "run", "run", "run", "run", "verify",
+            "verify"]
         for idx, (command, conf) in enumerate(configs):
             cfg = _write_config(tmp_path, conf, f"{idx}.json")
             with pytest.raises(Sentinel):

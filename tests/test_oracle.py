@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from dpslice import oracle
 from dpslice.core import ModelConfig, relabel_compact
 from dpslice.oracle import (
     MAX_ENUM_N,
@@ -155,6 +156,14 @@ class TestClusterLogMarginal:
 
 
 class TestExactPosterior:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_data_rejected_before_enumeration(self, monkeypatch, bad):
+        def unreachable(*args):
+            raise AssertionError("a subset was scored")
+        monkeypatch.setattr(oracle, "cluster_log_marginal", unreachable)
+        with pytest.raises(ValueError, match="data must be finite"):
+            exact_posterior([0.1, bad, 0.3, 0.5], 1.0, ModelConfig())
+
     def test_single_point(self):
         post = exact_posterior([0.7], 1.0, ModelConfig())
         assert post.num_partitions == 1

@@ -14,6 +14,7 @@ from scipy.special import gammaln
 from scipy.stats import chi2, poisson
 
 from dpslice import samplers
+from dpslice.cli import _benchmark_cell
 from dpslice.core import (
     LOG_2PI,
     InconsistentStateError,
@@ -23,8 +24,10 @@ from dpslice.core import (
     RunawayExtensionError,
     relabel_compact,
 )
+from dpslice.datagen import kmeans_init, make_dataset
 from dpslice.oracle import cluster_log_marginal, exact_posterior, tv_distance
 from dpslice.randkit import (
+    NoValidCategoryError,
     RngStream,
     sample_beta,
     sample_categorical_logweights,
@@ -655,6 +658,21 @@ class TestSliceAllocationUpdate:
                                          slices, CFG)
         assert np.all(w[labels - 1] > slices)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [1e200, math.nan])
+    def test_lone_candidate_with_nonfinite_log_weight_rejected(self, bad):
+        # slices 0.1 and 0.5 under weights 0.3 and 0.7: the first observation
+        # has both candidates, the second only the heavier one, whose log
+        # weight overflows to -inf at 1e200 and is NaN at NaN; the rule
+        # raises on such a one-entry list, and the pass must too
+        args = (np.array([0.3, 0.7]), np.array([0.0, 1.0]),
+                np.array([0.1, 0.5]), CFG)
+        assert slice_allocation_update(RngStream(seed=0), np.array([0.2, 0.4]),
+                                       *args)[1] == 2
+        with pytest.raises(NoValidCategoryError):
+            slice_allocation_update(RngStream(seed=0), np.array([0.2, bad]),
+                                    *args)
+
     def test_slice_above_every_weight_rejected(self):
         with pytest.raises(InconsistentStateError):
             slice_allocation_update(RngStream(seed=0), np.array([0.0]),
@@ -859,7 +877,8 @@ class TestAllocationPassesMatchPerObservationDraws:
         return ([(r.k_total, r.num_clusters, r.loglik, r.alpha)
                  for r in res.records], [s.tolist() for s in res.snapshots])
 
-    @pytest.mark.parametrize("data", ["three-cluster", "one-block", "n=1"])
+    @pytest.mark.parametrize("data", ["three-cluster", "one-block", "n=1",
+                                      "zipf"])
     @pytest.mark.parametrize("kind", [SamplerKind.SLICE,
                                       SamplerKind.SLICE_MARGINAL,
                                       SamplerKind.CRP_COLLAPSED])
@@ -875,6 +894,11 @@ class TestAllocationPassesMatchPerObservationDraws:
             # weight, so most observations have a single candidate
             y = gen.normal(0.0, 0.3, 60)
             cfg, init = ModelConfig(alpha_fixed=1.0), np.ones(60, dtype=int)
+        elif data == "zipf":
+            # the README's power-law data from a k-means start: 43% of slice
+            # observations have one candidate, the heaviest component
+            y = make_dataset("zipf", RngStream(seed=11), 100).y
+            init = kmeans_init(y, RngStream(seed=11, stream=1)).labels
         else:
             y = np.array([0.7])
         got = self._chain(kind, y, cfg, init)
@@ -892,6 +916,41 @@ class TestAllocationPassesMatchPerObservationDraws:
         assert self._chain(kind, y, cfg, init) == got
         if data == "one-block" and kind is SamplerKind.SLICE:
             assert 0.5 < np.mean(singles) < 1.0
+        if data == "zipf" and kind is SamplerKind.SLICE:
+            assert 0.3 < np.mean(singles) < 0.7
+
+
+class TestSliceWorkScaling:
+    """A count-based companion of criterion 7's slice clause, which times
+    sweeps on the wall clock: on criterion 7's own slice cells, the median
+    number of likelihood terms a sweep scores, sum over i of (K - p_i),
+    grows near-linearly in n. Components drawn below every slice are never
+    candidates, so the count sees more components only where observations
+    score them."""
+
+    def test_candidate_count_slope_on_criterion_7_cells(self, monkeypatch):
+        candidates = samplers._slice_candidates
+        counts = []
+
+        def counted(all_weights, slices):
+            order, pos = candidates(all_weights, slices)
+            counts[-1].append(order.size * len(pos) - int(np.sum(pos)))
+            return order, pos
+        monkeypatch.setattr(samplers, "_slice_candidates", counted)
+        ns = (150, 300, 600, 1500, 3000)
+        medians = []
+        for idx, n in enumerate(ns):
+            # criterion 7's cell for this n, its seed and index, 200 sweeps
+            counts.append([])
+            row = _benchmark_cell({
+                "sampler": "slice", "n": n, "dataset_kind": "three-cluster",
+                "dataset_params": {}, "iters": 200, "burnin": 0,
+                "time_budget_s": 600.0, "sigma2": 1.0, "alpha_fixed": None,
+                "seed": 12345, "index": idx})
+            assert not row["infeasible"] and len(counts[-1]) == 200
+            medians.append(float(np.median(counts[-1])))
+        slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
+        assert 0.8 <= slope <= 1.3, (slope, medians)
 
 
 class TestMarginalPredictive:
@@ -1297,3 +1356,13 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(np.array([]), ModelConfig(), RngStream(seed=0),
                       SamplerKind.SLICE, iters=5, burnin=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", list(SamplerKind))
+    def test_nonfinite_data_rejected_before_any_sweep(self, kind, bad):
+        rng = RngStream(seed=0)
+        L = 2 if kind is SamplerKind.BLOCKED_GIBBS else None
+        with pytest.raises(ValueError, match="data must be finite"):
+            run_chain(np.array([0.1, bad, 0.3, 0.5]), ModelConfig(), rng,
+                      kind, iters=5, burnin=0, L=L)
+        assert rng.random() == RngStream(seed=0).random()  # nothing drawn
