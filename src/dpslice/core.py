@@ -217,7 +217,14 @@ class TraceRecord:
 
     ``k_total`` is the number of instantiated components the sweep worked
     with (truncation level); ``num_clusters`` the occupied count after the
-    sweep. ``elapsed_ns`` covers the sweep body including its bookkeeping.
+    sweep. ``candidates`` counts the likelihood terms the allocation scored,
+    a work count that does not depend on the hardware: sum over i of
+    (K - p_i) for the slice samplers, whose observation i scores the
+    components from weight-order position p_i on; sum over i of (H_i + 1)
+    for the urn samplers, which score the H_i clusters left when i steps out
+    and a new one; n*L for blocked Gibbs. ``elapsed_ns`` covers the sweep
+    body including its bookkeeping; it stays the last column of the CSV
+    row, the one wall-clock field.
     """
 
     iteration: int
@@ -225,13 +232,15 @@ class TraceRecord:
     num_clusters: int
     loglik: float
     alpha: float
+    candidates: int
     elapsed_ns: int
 
-    CSV_HEADER = "iter,K,H,loglik,alpha,elapsed_ns"
+    CSV_HEADER = "iter,K,H,loglik,alpha,candidates,elapsed_ns"
 
     def csv_row(self) -> str:
         return (f"{self.iteration},{self.k_total},{self.num_clusters},"
-                f"{self.loglik!r},{self.alpha!r},{self.elapsed_ns}")
+                f"{self.loglik!r},{self.alpha!r},{self.candidates},"
+                f"{self.elapsed_ns}")
 
 
 def log_likelihood(data: np.ndarray, labels: np.ndarray, atoms: np.ndarray,

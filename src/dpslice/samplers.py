@@ -20,15 +20,16 @@ the reported log likelihood and the trace record.
 Blocked Gibbs scores every observation against all L components, so its
 allocation is vectorized: it scores a block of observations at a time and
 picks the whole block with one batch of uniforms, still n*L candidates per
-sweep. An observation of the slice pass whose slice leaves it one
-candidate, the heaviest component, gets that component whatever its
-uniform; the pass assigns all of these in one array step (about half the
-observations on power-law data) after checking, as the categorical rule
-would, that their log weights are finite. Its other observations and every
-observation of the sequential passes loop in Python with scalar
-per-component arithmetic, so their cost stays proportional to the
+sweep. The slice pass groups its observations by the first of their
+candidates in the weight order; the members of a group share their
+candidates, so a group of SLICE_BLOCK_MIN_M or more is scored as one block
+and picked by one categorical call, at most K numpy rounds a sweep, and the
+members of smaller groups loop in Python. Either way an observation scores
+only its own candidates. The sequential passes loop over observations with
+scalar per-component arithmetic, so their cost stays proportional to the
 candidates each observation actually has. Block draws (weights, atoms,
-slice variables) are vectorized.
+slice variables) are vectorized. Every sweep counts the likelihood terms
+its allocation scored, and the trace records the count.
 
 The categorical rule of ``randkit`` draws nothing; the allocation passes
 hand it their uniforms. The slice, marginal slice and collapsed urn passes
@@ -96,11 +97,11 @@ from .core import (
     relabel_compact_with_map,  # not called here; perfbench patches it on this module
 )
 from .randkit import (
-    NoValidCategoryError,
     RngStream,
     SHORT_ROW_K,
     WEIGHT_CEIL,
     WEIGHT_FLOOR,
+    _categorical_columns,
     categorical_index,
     clamp_weights,
     sample_beta,
@@ -376,9 +377,10 @@ def _next_alpha(rng: RngStream, state: MixtureState, cfg: ModelConfig) -> float:
 
 def _slice_candidates(all_weights, slices):
     """Each observation's candidates, the components whose weight strictly
-    exceeds its slice: the component indices in increasing weight order, and
-    per observation (an integer array) the position in that order of its
-    first candidate."""
+    exceeds its slice: the component indices in increasing weight order, per
+    observation (an integer array) the position in that order of its first
+    candidate, and the number of candidates over all observations, the
+    likelihood terms an allocation pass scores: sum over i of (K - p_i)."""
     w = np.asarray(all_weights, dtype=float)
     order = np.argsort(w, kind="stable")
     pos = np.searchsorted(w[order], np.asarray(slices, dtype=float),
@@ -386,49 +388,77 @@ def _slice_candidates(all_weights, slices):
     # argmax, not max: no reduction call on the short arrays of small n
     if pos[pos.argmax()] >= w.size:
         raise InconsistentStateError("slice above every instantiated weight")
-    return order, pos
+    return order, pos, w.size * pos.size - int(pos.sum())
+
+
+# from this many observations, a group that shares its first candidate is
+# scored as one block and picked by one categorical call; a smaller group
+# loops. On one core of a Xeon with numpy 2.4, a block cost about 14 us
+# whatever its size and a looped observation 0.7-1.3 us with 1-4
+# candidates; on the recorded inputs of 200 slice sweeps at n = 150-3000,
+# thresholds of 6-10 read within 5% of each other, and 12 took 60% longer
+# on power-law data at n = 150
+SLICE_BLOCK_MIN_M = 8
 
 
 def slice_allocation_update(rng: RngStream, data, all_weights, atoms, slices,
-                            cfg: ModelConfig) -> np.ndarray:
+                            cfg: ModelConfig):
     """Joint allocation draw: each observation picks among the components
     whose weight strictly exceeds its slice, with Normal likelihood weights.
 
+    Returns each observation's 1-based component id and the number of
+    likelihood terms scored, sum over i of (K - p_i), where p_i is the
+    position of observation i's first candidate in the weight order of the
+    K weights.
+
     The n uniforms come from one ``rng.random(n)`` call, one per observation
-    in order. An observation whose first candidate is the last position in
-    the weight order has one candidate, the heaviest component, and all such
-    observations get it in one array step; only the others loop in Python
-    and pick with the categorical rule. A lone candidate's uniform goes
-    unused, as the rule leaves it, so every label and the stream are those
-    of a loop over all observations. The rule's error stays: a lone
-    candidate's log weight, worked out in the loop's order of operations,
-    must be finite."""
-    order, pos = _slice_candidates(all_weights, slices)
-    top = order.size - 1
+    in order. The observations with one first-candidate position p share the
+    candidates p..K-1, so a group of SLICE_BLOCK_MIN_M or more is scored as
+    one (K - p, m) block of log weights, in the loop's order of operations,
+    and picked by ``_categorical_columns`` with the group's own uniforms; the
+    observations of smaller groups loop in Python through
+    ``categorical_index``. Both apply one rule to the same log weights and
+    uniforms, so every label and the stream are those of a loop over all
+    observations, up to ``np.exp`` and ``math.exp`` differing in the last
+    bit, which moves a pick only when its uniform falls within rounding of a
+    cumulative boundary. Either path raises ``NoValidCategoryError`` when an
+    observation's log weights have no finite maximum, and neither warns.
+    """
+    order, pos, scored = _slice_candidates(all_weights, slices)
     y = np.asarray(data, dtype=float)
     u = rng.random(y.size)
     sorted_atoms = np.asarray(atoms, dtype=float)[order]
     neg_inv2s = -0.5 / cfg.sigma2
-    one = pos == top
-    rest = (~one).nonzero()[0]
-    if rest.size < y.size:
-        d = y[one] - sorted_atoms[top]
-        lw = neg_inv2s * d * d
-        # count_nonzero, not all(): no reduction call at small n
-        if np.count_nonzero(np.isfinite(lw)) < lw.size:
-            raise NoValidCategoryError("no category with positive weight")
     labels = (order + 1).astype(LABEL_DTYPE, copy=False)
-    # each observation's first candidate: its pick when it is the only one
-    out = labels[pos]
-    if rest.size:
+    out = np.empty(y.size, dtype=LABEL_DTYPE)
+    rest = slice(None)
+    if y.size >= SLICE_BLOCK_MIN_M:
+        sizes = np.bincount(pos, minlength=order.size)
+        groups = np.flatnonzero(sizes >= SLICE_BLOCK_MIN_M).tolist()
+        if groups:
+            # the observations in order of p, each group's run in data order
+            members = np.argsort(pos, kind="stable")
+            ends = sizes.cumsum().tolist()
+            sizes_l = sizes.tolist()
+            # an overflowing square is -inf, as in the loop's float arithmetic
+            with np.errstate(over="ignore"):
+                for p in groups:
+                    idx = members[ends[p] - sizes_l[p]:ends[p]]
+                    d = y[idx] - sorted_atoms[p:, None]
+                    lw = neg_inv2s * d
+                    lw *= d
+                    out[idx] = labels[p + _categorical_columns(lw, u[idx])]
+            rest = (sizes < SLICE_BLOCK_MIN_M)[pos].nonzero()[0]
+    y_rest = y[rest]
+    if y_rest.size:
         labels_l = labels.tolist()
         atoms_l = sorted_atoms.tolist()
         out[rest] = [
             labels_l[p + categorical_index(
                 [neg_inv2s * (yi - a) * (yi - a) for a in atoms_l[p:]], ui)]
-            for yi, p, ui in zip(y[rest].tolist(), pos[rest].tolist(),
+            for yi, p, ui in zip(y_rest.tolist(), pos[rest].tolist(),
                                  u[rest].tolist())]
-    return out
+    return out, scored
 
 
 def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
@@ -440,9 +470,10 @@ def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
     members reduces to the prior predictive. The pass works in the weight
     order, so observation i's candidates are the positions from its first
     one to the end, and it keeps each position's predictive entry,
-    refreshing only the two whose members change.
+    refreshing only the two whose members change. Returns the labels and
+    the number of predictive terms scored, sum over i of (K - p_i).
     """
-    order, pos = _slice_candidates(all_weights, slices)
+    order, pos, scored = _slice_candidates(all_weights, slices)
     k_total = order.size
     order_l = order.tolist()
     rank = dict(zip(order_l, range(k_total)))
@@ -469,7 +500,7 @@ def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
         counts[j] += 1
         sums[j] += yi
         pred[j] = _predictive(counts[j], sums[j], prior)
-    return [order_l[j] + 1 for j in at]
+    return [order_l[j] + 1 for j in at], scored
 
 
 # ---------------------------------------------------------------------------
@@ -482,18 +513,19 @@ def _sweep(kernel, state: MixtureState, data, cfg: ModelConfig,
 
     Updates alpha, runs ``kernel(y, partition, alpha)`` on the incoming
     partition (canonical, as every ``Partition`` is), relabels what it drew
-    and reports the log likelihood. The kernel returns three values:
+    and reports the log likelihood. The kernel returns four values:
 
     * each observation's 1-based component id;
     * the number of components it worked with (the trace's K);
     * the atoms by component id, which score the log likelihood against
       those ids; or None when the kernel integrates them out, and atoms
-      drawn given the new partition score it instead.
+      drawn given the new partition score it instead;
+    * the number of candidate likelihood terms its allocation scored.
     """
     t0 = time.perf_counter_ns()
     y = np.asarray(data, dtype=float)
     alpha = _next_alpha(rng, state, cfg)
-    raw, k_total, atoms = kernel(y, state.partition, alpha)
+    raw, k_total, atoms, candidates = kernel(y, state.partition, alpha)
     newpart = relabel_compact(raw)
     if atoms is None:
         raw = newpart.labels
@@ -501,7 +533,7 @@ def _sweep(kernel, state: MixtureState, data, cfg: ModelConfig,
     loglik = log_likelihood(y, raw, atoms, cfg)
     elapsed = time.perf_counter_ns() - t0
     rec = TraceRecord(iteration, k_total, newpart.num_blocks, loglik, alpha,
-                      elapsed)
+                      candidates, elapsed)
     return MixtureState(partition=newpart, alpha=alpha), rec
 
 
@@ -515,8 +547,9 @@ def slice_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
         tail_w, tail_atoms, _ = extend_components(rng, residual, umin, alpha, cfg)
         all_w = np.concatenate([allocated, tail_w])
         all_atoms = np.concatenate([atoms_occ, tail_atoms])
-        raw = slice_allocation_update(rng, y, all_w, all_atoms, slices, cfg)
-        return raw, all_w.size, all_atoms
+        raw, candidates = slice_allocation_update(rng, y, all_w, all_atoms,
+                                                  slices, cfg)
+        return raw, all_w.size, all_atoms, candidates
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
@@ -532,9 +565,9 @@ def slice_sweep_marginal_atoms(state: MixtureState, data, cfg: ModelConfig,
         slices, umin = sample_slices(rng, part, allocated)
         tail_w, _, _ = extend_components(rng, residual, umin, alpha)
         all_w = np.concatenate([allocated, tail_w])
-        raw = _marginal_allocation_pass(rng, y.tolist(), part.labels.tolist(),
-                                        all_w, slices, cfg)
-        return raw, all_w.size, None
+        raw, candidates = _marginal_allocation_pass(
+            rng, y.tolist(), part.labels.tolist(), all_w, slices, cfg)
+        return raw, all_w.size, None, candidates
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
@@ -584,7 +617,7 @@ def bgs_sweep(state: MixtureState, data, cfg: ModelConfig, rng: RngStream,
             logw *= d
             np.subtract(logpi, logw, out=logw)
             raw[lo:lo + rows] = sample_categorical_logweights(rng, logw) + 1
-        return raw, L, atoms
+        return raw, L, atoms, y.size * L
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
@@ -609,6 +642,7 @@ def crp_sweep_atoms(state: MixtureState, data, cfg: ModelConfig,
         inv2s = 0.5 / s2
         cnorm = -0.5 * (LOG_2PI + math.log(s2))
         m0, inv2p, new_score = _new_cluster(prior, alpha)
+        scored = 0
 
         for i, yi in enumerate(y.tolist()):
             c = labels[i] - 1
@@ -622,6 +656,7 @@ def crp_sweep_atoms(state: MixtureState, data, cfg: ModelConfig,
                 logw.append(math.log(counts[k]) + cnorm - inv2s * d * d)
             d0 = yi - m0
             logw.append(new_score - inv2p * d0 * d0)
+            scored += len(logw)
             idx = sample_categorical_logweights(rng, logw)
             if idx == len(active):
                 slot = free.pop() if free else len(counts)
@@ -636,7 +671,7 @@ def crp_sweep_atoms(state: MixtureState, data, cfg: ModelConfig,
                 k = active[idx]
                 counts[k] += 1
                 labels[i] = k + 1
-        return labels, len(active), np.asarray(atoms, dtype=float)
+        return labels, len(active), np.asarray(atoms, dtype=float), scored
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
 
@@ -661,6 +696,7 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
         prior = _conjugate_prior(cfg)
         pred = [_predictive(m, t, prior) for m, t in zip(counts, sums)]
         m0, inv2p, new_score = _new_cluster(prior, alpha)
+        scored = 0
 
         for i, (yi, u) in enumerate(zip(y.tolist(),
                                         rng.random(y.size).tolist())):
@@ -679,6 +715,7 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
                 logw.append(math.log(counts[k]) - 0.5 * (norm + d * d / var))
             d0 = yi - m0
             logw.append(new_score - inv2p * d0 * d0)
+            scored += len(logw)
             idx = categorical_index(logw, u)
             if idx == len(active):
                 slot = free.pop() if free else len(counts)
@@ -695,7 +732,7 @@ def crp_sweep_collapsed(state: MixtureState, data, cfg: ModelConfig,
                 sums[slot] += yi
             labels[i] = slot + 1
             pred[slot] = _predictive(counts[slot], sums[slot], prior)
-        return labels, len(active), None
+        return labels, len(active), None, scored
     return _sweep(kernel, state, data, cfg, rng, iteration)
 
 

@@ -113,7 +113,8 @@ class TestRun:
         assert main(["run", "--config", cfg, "--seed", "3"]) == 0
         out = tmp_path / "run1"
         trace = _read_csv(out / "trace.csv")
-        assert trace[0] == ["iter", "K", "H", "loglik", "alpha", "elapsed_ns"]
+        assert trace[0] == ["iter", "K", "H", "loglik", "alpha", "candidates",
+                            "elapsed_ns"]
         assert len(trace) == 81  # burnin + iters sweeps, all recorded
         ks = [int(r[1]) for r in trace[1:]]
         hs = [int(r[2]) for r in trace[1:]]

@@ -252,18 +252,21 @@ class TestSettingRules:
 
 class TestTraceRecord:
     def test_csv_header_and_row(self):
-        assert TraceRecord.CSV_HEADER == "iter,K,H,loglik,alpha,elapsed_ns"
+        # the wall-clock field stays last, where readers strip the timing
+        assert TraceRecord.CSV_HEADER == \
+            "iter,K,H,loglik,alpha,candidates,elapsed_ns"
         rec = TraceRecord(iteration=3, k_total=7, num_clusters=4,
-                          loglik=-12.5, alpha=1.25, elapsed_ns=999)
+                          loglik=-12.5, alpha=1.25, candidates=21,
+                          elapsed_ns=999)
         row = rec.csv_row()
         cells = row.split(",")
         assert cells[0] == "3" and cells[1] == "7" and cells[2] == "4"
         assert float(cells[3]) == -12.5 and float(cells[4]) == 1.25
-        assert cells[5] == "999"
+        assert cells[5] == "21" and cells[6] == "999"
 
     def test_row_round_trips_floats_exactly(self):
         loglik = -123.45678901234567
-        rec = TraceRecord(1, 2, 1, loglik, 0.1 + 0.2, 5)
+        rec = TraceRecord(1, 2, 1, loglik, 0.1 + 0.2, 2, 5)
         cells = rec.csv_row().split(",")
         assert float(cells[3]) == loglik
         assert float(cells[4]) == 0.1 + 0.2

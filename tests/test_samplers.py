@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import chi2, poisson
 
-from dpslice import samplers
+from dpslice import cli, samplers
 from dpslice.cli import _benchmark_cell
 from dpslice.core import (
     LOG_2PI,
@@ -619,16 +619,16 @@ class TestSliceAllocationUpdate:
     def test_singleton_active_set_deterministic(self):
         rng = RngStream(seed=150)
         # only component 1 exceeds the slice, so the far atom wins regardless
-        labels = slice_allocation_update(
+        labels, scored = slice_allocation_update(
             rng, np.array([5.0]), np.array([0.6, 0.05]),
             np.array([-5.0, 5.0]), np.array([0.3]), CFG)
-        assert labels.tolist() == [1]
+        assert labels.tolist() == [1] and scored == 1
 
     def test_equidistant_atoms_split_evenly(self):
         rng = RngStream(seed=151)
         m = 40_000
         y = np.zeros(m)
-        picks = slice_allocation_update(
+        picks, _ = slice_allocation_update(
             rng, y, np.array([0.5, 0.5]), np.array([-1.0, 1.0]),
             np.full(m, 0.25), CFG)
         assert abs(np.mean(picks == 1) - 0.5) < 0.01
@@ -636,7 +636,7 @@ class TestSliceAllocationUpdate:
     def test_likelihood_ratio(self):
         rng = RngStream(seed=152)
         m = 40_000
-        picks = slice_allocation_update(
+        picks, _ = slice_allocation_update(
             rng, np.zeros(m), np.array([0.5, 0.5]), np.array([0.0, 3.0]),
             np.full(m, 0.1), CFG)
         p0 = 1.0 / (1.0 + math.exp(-4.5))
@@ -654,11 +654,12 @@ class TestSliceAllocationUpdate:
         own = gen.integers(0, k, size=n)
         slices = w[own] * gen.random(n)
         slices = np.maximum(slices, 1e-12)
-        labels = slice_allocation_update(RngStream(seed=seed), y, w, atoms,
-                                         slices, CFG)
+        labels, scored = slice_allocation_update(RngStream(seed=seed), y, w,
+                                                 atoms, slices, CFG)
         assert np.all(w[labels - 1] > slices)
+        assert scored == int((w[:, None] > slices).sum())
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [1e200, math.nan])
     def test_lone_candidate_with_nonfinite_log_weight_rejected(self, bad):
         # slices 0.1 and 0.5 under weights 0.3 and 0.7: the first observation
@@ -668,7 +669,7 @@ class TestSliceAllocationUpdate:
         args = (np.array([0.3, 0.7]), np.array([0.0, 1.0]),
                 np.array([0.1, 0.5]), CFG)
         assert slice_allocation_update(RngStream(seed=0), np.array([0.2, 0.4]),
-                                       *args)[1] == 2
+                                       *args)[0][1] == 2
         with pytest.raises(NoValidCategoryError):
             slice_allocation_update(RngStream(seed=0), np.array([0.2, bad]),
                                     *args)
@@ -678,6 +679,98 @@ class TestSliceAllocationUpdate:
             slice_allocation_update(RngStream(seed=0), np.array([0.0]),
                                     np.array([0.2, 0.1]), np.array([0.0, 1.0]),
                                     np.array([0.5]), CFG)
+
+    # weights in increasing order, and a slice that leaves each observation
+    # its candidates from that position on: 0.05 all three, 0.2 the last
+    # two, 0.4 the heaviest alone
+    W3 = np.array([0.1, 0.3, 0.6])
+    SLICE_AT = {0: 0.05, 1: 0.2, 2: 0.4}
+
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           n=st.integers(min_value=1, max_value=60),
+           k=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_observation_reference(self, seed, n, k):
+        # groups of every size up to n, on both sides of the block threshold
+        gen = np.random.default_rng(seed)
+        w = gen.dirichlet(np.full(k, 2.0)) * 0.9
+        atoms = gen.normal(0.0, 2.0, k)
+        y = gen.normal(0.0, 2.0, n)
+        slices = np.maximum(w[gen.integers(0, k, n)] * gen.random(n), 1e-12)
+        a, b = RngStream(seed=seed), RngStream(seed=seed)
+        got, scored = slice_allocation_update(a, y, w, atoms, slices, CFG)
+        want, want_scored = _reference_slice_allocation(b, y, w, atoms,
+                                                        slices, CFG)
+        assert got.tolist() == want.tolist()
+        assert scored == want_scored
+        assert a.random() == b.random()
+
+    def test_groups_either_side_of_the_block_threshold(self):
+        # SLICE_BLOCK_MIN_M observations whose first candidate is position 1
+        # are scored as one (2, m) block; the m - 1 at position 0 loop, one
+        # three-candidate call each. The two groups interleave in data order.
+        m = samplers.SLICE_BLOCK_MIN_M
+        slices = np.resize([self.SLICE_AT[1], self.SLICE_AT[0]], 2 * m - 1)
+        y = np.random.default_rng(3).normal(0.0, 1.0, slices.size)
+        atoms = np.array([-1.0, 0.0, 1.0])
+        blocks, loops = [], []
+        columns, index = samplers._categorical_columns, samplers.categorical_index
+
+        def block(logw, u):
+            blocks.append(logw.shape)
+            return columns(logw, u)
+
+        def loop(logw, u):
+            loops.append(len(logw))
+            return index(logw, u)
+        a, b = RngStream(seed=4), RngStream(seed=4)
+        with mock.patch.object(samplers, "_categorical_columns", block), \
+                mock.patch.object(samplers, "categorical_index", loop):
+            got, scored = slice_allocation_update(a, y, self.W3, atoms,
+                                                  slices, CFG)
+        assert blocks == [(2, m)] and loops == [3] * (m - 1)
+        want, want_scored = _reference_slice_allocation(b, y, self.W3, atoms,
+                                                        slices, CFG)
+        assert got.tolist() == want.tolist()
+        assert scored == want_scored == 2 * m + 3 * (m - 1)
+        assert a.random() == b.random()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [1e200, math.inf, math.nan])
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_block_with_nonfinite_log_weight_rejected(self, bad, first):
+        # a block group whose first candidate is the heaviest alone (2) or
+        # the last two (1); one member's log weights overflow to -inf or are
+        # NaN, and the block must raise as the rule does, without a warning
+        m = samplers.SLICE_BLOCK_MIN_M
+        args = (self.W3, np.array([-1.0, 0.0, 1.0]),
+                np.full(m, self.SLICE_AT[first]), CFG)
+        y = np.linspace(-1.0, 1.0, m)
+        assert slice_allocation_update(RngStream(seed=0), y, *args)[1] == \
+            m * (3 - first)
+        y[m // 2] = bad
+        with pytest.raises(NoValidCategoryError):
+            slice_allocation_update(RngStream(seed=0), y, *args)
+
+    def test_uniform_rounding_up_to_the_total_in_a_block(self):
+        # u = 1 makes u * total equal the total, so no running sum exceeds
+        # it; the pick is then the last candidate with mass, here the second
+        # of the block's three, since the heaviest one's log weight
+        # underflows (its atom lies 100 sd away)
+        m = samplers.SLICE_BLOCK_MIN_M
+        args = (np.zeros(m), self.W3, np.array([0.0, 0.0, 100.0]),
+                np.full(m, self.SLICE_AT[0]), CFG)
+        got, _ = slice_allocation_update(_Ones(), *args)
+        want, _ = _reference_slice_allocation(_Ones(), *args)
+        assert got.tolist() == want.tolist() == [2] * m
+
+
+class _Ones:
+    """Stub stream whose every uniform is 1.0, one per scalar call and m
+    per ``random(m)`` call."""
+
+    def random(self, size=None):
+        return 1.0 if size is None else np.ones(size)
 
 
 DATA6 = np.array([-3.2, -2.8, 0.1, -0.2, 3.0, 3.3])
@@ -771,7 +864,7 @@ class TestSweepInvariants:
 
 def _reference_marginal_pass(rng, y_l, labels_l, all_w, slices, cfg):
     """The marginal allocation pass with every candidate's predictive worked
-    out from scratch for each observation."""
+    out from scratch for each observation, and the number of terms scored."""
     order = np.argsort(all_w, kind="stable")
     pos = np.searchsorted(all_w[order], slices, side="right").tolist()
     counts = [0] * all_w.size
@@ -781,6 +874,7 @@ def _reference_marginal_pass(rng, y_l, labels_l, all_w, slices, cfg):
         sums[c - 1] += yi
     s2, v0, m0 = cfg.sigma2, cfg.base_var, cfg.base_mean
     labels = list(labels_l)
+    scored = 0
     for i, yi in enumerate(y_l):
         counts[labels[i] - 1] -= 1
         sums[labels[i] - 1] -= yi
@@ -791,23 +885,26 @@ def _reference_marginal_pass(rng, y_l, labels_l, all_w, slices, cfg):
             var = 1.0 / prec + s2
             d = yi - mean
             logw.append(-0.5 * (LOG_2PI + math.log(var) + d * d / var))
+        scored += len(logw)
         k = int(order[pos[i] + sample_categorical_logweights(rng, logw)])
         labels[i] = k + 1
         counts[k] += 1
         sums[k] += yi
-    return labels
+    return labels, scored
 
 
 def _reference_slice_allocation(rng, data, all_w, atoms, slices, cfg,
                                 singles=None):
     """The slice allocation pass with one ``sample_categorical_logweights``
-    call per observation, single-candidate ones included; appends to
-    ``singles`` whether each observation had one candidate."""
+    call per observation, single-candidate ones included, and the number of
+    log weights it scored; appends to ``singles`` whether each observation
+    had one candidate."""
     order = np.argsort(all_w, kind="stable")
     pos = np.searchsorted(all_w[order], slices, side="right").tolist()
     atoms_l = np.asarray(atoms, dtype=float).tolist()
     inv2s = 0.5 / cfg.sigma2
     out = []
+    scored = 0
     for yi, p in zip(np.asarray(data, dtype=float).tolist(), pos):
         logw = []
         for k in order[p:].tolist():
@@ -815,14 +912,15 @@ def _reference_slice_allocation(rng, data, all_w, atoms, slices, cfg,
             logw.append(-inv2s * d * d)
         if singles is not None:
             singles.append(len(logw) == 1)
+        scored += len(logw)
         out.append(int(order[p + sample_categorical_logweights(rng, logw)]) + 1)
-    return np.array(out)
+    return np.array(out), scored
 
 
 def _reference_crp_collapsed(state, data, cfg, rng, iteration=0):
     """The collapsed urn sweep with every cluster's predictive worked out
     from scratch and one ``sample_categorical_logweights`` call per
-    observation."""
+    observation; it counts the log weights it scores."""
     def kernel(y, part, alpha):
         prior = _conjugate_prior(cfg)
         s2 = prior[2]
@@ -832,6 +930,7 @@ def _reference_crp_collapsed(state, data, cfg, rng, iteration=0):
         labels = part.labels.tolist()
         active = list(range(len(counts)))
         free = []
+        scored = 0
         for i, yi in enumerate(y.tolist()):
             c = labels[i] - 1
             counts[c] -= 1
@@ -848,6 +947,7 @@ def _reference_crp_collapsed(state, data, cfg, rng, iteration=0):
             d0 = yi - m0
             logw.append(math.log(alpha) - 0.5 * (LOG_2PI + math.log(pvar))
                         - 0.5 / pvar * d0 * d0)
+            scored += len(logw)
             idx = sample_categorical_logweights(rng, logw)
             if idx == len(active):
                 slot = free.pop() if free else len(counts)
@@ -860,7 +960,7 @@ def _reference_crp_collapsed(state, data, cfg, rng, iteration=0):
             counts[slot] += 1
             sums[slot] += yi
             labels[i] = slot + 1
-        return labels, len(active), None
+        return labels, len(active), None, scored
     return samplers._sweep(kernel, state, data, cfg, rng, iteration)
 
 
@@ -874,7 +974,7 @@ class TestAllocationPassesMatchPerObservationDraws:
     def _chain(kind, y, cfg, init):
         res = run_chain(y, cfg, RngStream(seed=210), kind, iters=30, burnin=0,
                         init_labels=init, time_budget_s=600.0)
-        return ([(r.k_total, r.num_clusters, r.loglik, r.alpha)
+        return ([(r.k_total, r.num_clusters, r.loglik, r.alpha, r.candidates)
                  for r in res.records], [s.tolist() for s in res.snapshots])
 
     @pytest.mark.parametrize("data", ["three-cluster", "one-block", "n=1",
@@ -920,37 +1020,51 @@ class TestAllocationPassesMatchPerObservationDraws:
             assert 0.3 < np.mean(singles) < 0.7
 
 
+def _criterion_7_candidates(sampler: str, n: int, index: int,
+                            sweeps: int = 200) -> float:
+    """The median of the trace's per-sweep candidate count over the first
+    ``sweeps`` sweeps of criterion 7's (sampler, n) cell: its data, start,
+    seed and grid index."""
+    chains = []
+    run_chain_ = cli.run_chain
+
+    def kept(*args, **kwargs):
+        chains.append(run_chain_(*args, **kwargs))
+        return chains[-1]
+    with mock.patch.object(cli, "run_chain", kept):
+        row = _benchmark_cell({
+            "sampler": sampler, "n": n, "dataset_kind": "three-cluster",
+            "dataset_params": {}, "iters": sweeps, "burnin": 0,
+            "time_budget_s": 600.0, "sigma2": 1.0, "alpha_fixed": None,
+            "seed": 12345, "index": index})
+    assert not row["infeasible"] and len(chains[0].records) == sweeps
+    return float(np.median([r.candidates for r in chains[0].records]))
+
+
 class TestSliceWorkScaling:
-    """A count-based companion of criterion 7's slice clause, which times
-    sweeps on the wall clock: on criterion 7's own slice cells, the median
-    number of likelihood terms a sweep scores, sum over i of (K - p_i),
-    grows near-linearly in n. Components drawn below every slice are never
-    candidates, so the count sees more components only where observations
-    score them."""
+    """Count-based companions of criterion 7's slice and ratio clauses,
+    which time sweeps on the wall clock. On criterion 7's own slice cells,
+    the median number of likelihood terms a sweep scores, sum over i of
+    (K - p_i), grows near-linearly in n. Components drawn below every slice
+    are never candidates, so the count sees more components only where
+    observations score them."""
 
-    def test_candidate_count_slope_on_criterion_7_cells(self, monkeypatch):
-        candidates = samplers._slice_candidates
-        counts = []
+    NS = (150, 300, 600, 1500, 3000)
 
-        def counted(all_weights, slices):
-            order, pos = candidates(all_weights, slices)
-            counts[-1].append(order.size * len(pos) - int(np.sum(pos)))
-            return order, pos
-        monkeypatch.setattr(samplers, "_slice_candidates", counted)
-        ns = (150, 300, 600, 1500, 3000)
-        medians = []
-        for idx, n in enumerate(ns):
-            # criterion 7's cell for this n, its seed and index, 200 sweeps
-            counts.append([])
-            row = _benchmark_cell({
-                "sampler": "slice", "n": n, "dataset_kind": "three-cluster",
-                "dataset_params": {}, "iters": 200, "burnin": 0,
-                "time_budget_s": 600.0, "sigma2": 1.0, "alpha_fixed": None,
-                "seed": 12345, "index": idx})
-            assert not row["infeasible"] and len(counts[-1]) == 200
-            medians.append(float(np.median(counts[-1])))
-        slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
-        assert 0.8 <= slope <= 1.3, (slope, medians)
+    @pytest.fixture(scope="class")
+    def slice_medians(self):
+        return [_criterion_7_candidates("slice", n, idx)
+                for idx, n in enumerate(self.NS)]
+
+    def test_candidate_count_slope_on_criterion_7_cells(self, slice_medians):
+        slope = float(np.polyfit(np.log(self.NS), np.log(slice_medians), 1)[0])
+        assert 0.8 <= slope <= 1.3, (slope, slice_medians)
+
+    def test_crp_atoms_scores_more_than_slice_at_n_3000(self, slice_medians):
+        # criterion 7's crp-atoms cell is the grid's ninth (index 8); the urn
+        # scores every cluster left and a new one for each observation
+        crp = _criterion_7_candidates("crp-atoms", 3000, 8)
+        assert crp > slice_medians[-1], (crp, slice_medians[-1])
 
 
 class TestMarginalPredictive:
