@@ -402,7 +402,7 @@ SLICE_BLOCK_MIN_M = 8
 
 
 def slice_allocation_update(rng: RngStream, data, all_weights, atoms, slices,
-                            cfg: ModelConfig):
+                            cfg: ModelConfig) -> tuple[np.ndarray, int]:
     """Joint allocation draw: each observation picks among the components
     whose weight strictly exceeds its slice, with Normal likelihood weights.
 
@@ -462,7 +462,8 @@ def slice_allocation_update(rng: RngStream, data, all_weights, atoms, slices,
 
 
 def _marginal_allocation_pass(rng: RngStream, y_l, labels_l, all_weights,
-                              slices, cfg: ModelConfig) -> list[int]:
+                              slices, cfg: ModelConfig
+                              ) -> tuple[list[int], int]:
     """Sequential allocation with atoms integrated out.
 
     Component k's weight is the Normal predictive of y_i given that
